@@ -4,8 +4,10 @@ A weak coherent field is amplified nondeterministically by a
 subtract-add-subtract sequence of three beam splitters conditioned on
 photon-counter outcomes.  The package provides a truncated Fock-space
 simulator of the full pipeline, the closed-form predictions for the
-success branch, phase-space (Wigner) oracles for cross-validation, and a
-barrier-method optimizer for the gain-constrained success probability.
+success branch, phase-space (Wigner) oracles for cross-validation, and an
+exact optimizer for the gain-constrained success probability, which
+reduces the four-parameter problem to a one-dimensional search over a
+shared reflectivity.
 """
 
 from .closed_forms import (
@@ -52,7 +54,6 @@ from .modes import (
 from .optimize import (
     OptProblem,
     OptResult,
-    OptSettings,
     maximize,
     sweep,
     verify_symmetry,

@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import (
     ZeroNormError,
     ZeroProbabilityError,
 )
-from .optimize import OptSettings, sweep as optimize_sweep
+from .optimize import sweep as optimize_sweep
 from .scheme import (
     BRANCH_ORDER,
     SchemeConfig,
@@ -38,6 +40,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NOT_CONVERGED = 4
+
+MAX_THRESHOLDS = 10_000
 
 DEFAULTS = {
     "alpha": 0.5,
@@ -226,15 +230,23 @@ def cmd_sweep(config: dict) -> int:
     return EXIT_OK
 
 
+def _decimals(value: float) -> int:
+    """Decimal places in the shortest repr of value."""
+    return max(0, -Decimal(repr(value)).as_tuple().exponent)
+
+
 def cmd_optimize(config: dict) -> int:
     g_min = float(config["geff0_min"])
     g_max = float(config["geff0_max"])
     g_step = float(config["geff0_step"])
     if not (1.0 < g_min <= g_max < 2.0 and g_step > 0):
         raise ConfigError("threshold list must lie within (1, 2) with positive step")
-    count = int(round((g_max - g_min) / g_step)) + 1
-    thresholds = [g_min + i * g_step for i in range(count) if g_min + i * g_step < 2.0]
-    results = optimize_sweep(thresholds, OptSettings())
+    intervals = (g_max - g_min) / g_step + 1e-9
+    if not intervals < MAX_THRESHOLDS:
+        raise ConfigError(f"threshold list would hold more than {MAX_THRESHOLDS} entries")
+    digits = max(_decimals(g_step), _decimals(g_min))
+    thresholds = [round(g_min + i * g_step, digits) for i in range(math.floor(intervals) + 1)]
+    results = optimize_sweep([g for g in thresholds if g <= g_max])
     path = _out_dir(config) / "optimize.csv"
     all_converged = True
     with open(path, "w", newline="") as fh:
@@ -244,13 +256,13 @@ def cmd_optimize(config: dict) -> int:
         )
         for g0, result in results:
             if result is None:
-                writer.writerow([_fmt(g0), "", "", "", "", "", "", "false"])
+                writer.writerow([repr(g0), "", "", "", "", "", "", "false"])
                 all_converged = False
                 continue
             all_converged = all_converged and result.converged
             writer.writerow(
                 [
-                    _fmt(g0),
+                    repr(g0),
                     _fmt(result.p_opt),
                     _fmt(result.alpha_opt),
                     _fmt(result.r_opt[0]),
@@ -328,6 +340,7 @@ def cmd_branches(config: dict) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand registers only the flags it reads, so others exit 2."""
     parser = argparse.ArgumentParser(
         prog="nlamp",
         description="Heralded noiseless-amplifier simulator and analysis CLI",
@@ -344,12 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--alpha", type=float, default=None, help="input amplitude")
-        p.add_argument("--r", type=float, default=None, help="shared reflectivity")
-        p.add_argument("--dim", type=int, default=None, help="truncation dimension")
-        p.add_argument("--eta-qnd", dest="eta_qnd", type=float, default=None)
-        p.add_argument("--eta-pd1", dest="eta_pd1", type=float, default=None)
-        p.add_argument("--eta-pd2", dest="eta_pd2", type=float, default=None)
+        if name in ("table1", "wigner", "branches"):
+            p.add_argument("--alpha", type=float, default=None, help="input amplitude")
+            p.add_argument("--r", type=float, default=None, help="shared reflectivity")
+            p.add_argument("--eta-qnd", dest="eta_qnd", type=float, default=None)
+            p.add_argument("--eta-pd1", dest="eta_pd1", type=float, default=None)
+            p.add_argument("--eta-pd2", dest="eta_pd2", type=float, default=None)
+        if name != "optimize":
+            p.add_argument("--dim", type=int, default=None, help="truncation dimension")
         if name == "optimize":
             p.add_argument("--geff0-min", dest="geff0_min", type=float, default=None)
             p.add_argument("--geff0-max", dest="geff0_max", type=float, default=None)

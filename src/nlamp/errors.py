@@ -30,7 +30,7 @@ class BoundaryMassError(NlampError):
 
 
 class InfeasibleError(NlampError):
-    """No starting point satisfies the optimization constraint."""
+    """No point of the search box satisfies the optimization constraint."""
 
 
 class NotConvergedError(NlampError):

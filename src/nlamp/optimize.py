@@ -1,18 +1,38 @@
 """Gain-constrained maximization of the success probability.
 
-Maximizes the closed-form success probability over (|alpha|, r1, r2, r3)
-subject to the effective gain staying above a threshold, using a
-logarithmic barrier with a geometric schedule and a derivative-free
-compass search as the inner solver.  Deterministic multi-start; results
-are independent of evaluation order.
+Maximizes the closed-form success probability P over (|alpha|, r1, r2, r3)
+subject to the effective gain g staying at or above a threshold g0.  The
+four-dimensional problem reduces exactly to one dimension:
+
+* P and g depend on the reflectivities only through T = t1 t2 t3 and
+  R = r1 r2 r3, and P grows with R.  Since log r^2 is a concave function of
+  log(1 - r^2), Jensen's inequality makes R largest at fixed T when
+  r1 = r2 = r3 = r, that is T = (1 - r^2)^(3/2) and R = r^3.
+* At fixed T, g decreases in |alpha| and increases in T.  The constraint is
+  therefore an upper bound |alpha| <= g^-1(g0; T), and the feasible shared
+  reflectivities form one interval that ends where g(alpha_lo; T) = g0.
+* At fixed T, P is unimodal in |alpha|: with x = T^2 |alpha|^2 and
+  k = (1 - T^2) / T^2 its stationarity condition is the cubic
+  k x^3 + 3(k - 1) x^2 + (k - 6) x - 1 = 0, which has exactly one positive
+  root by Descartes' rule of signs.  Eliminating T with that condition gives
+  1 - g^2 = (1 + 6x + 12x^2 + 6x^3 + x^4) / (D (x D + 1 + 6x + 3x^2)) > 0,
+  D = 1 + 3x + x^2, so the gain at the peak is always below 1.  For every
+  admissible threshold g0 > 1 the constraint thus binds before the peak,
+  P increases over the feasible amplitudes, and the best feasible amplitude
+  is alpha*(r) = min(g^-1(g0; T), alpha_hi).
+
+What remains, maximizing P(alpha*(r), r) over the feasible reflectivities,
+is solved by a fixed coarse scan followed by a bounded Brent search between
+the neighbours of the best scan point.  Every step is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from scipy.optimize import minimize
+import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from .closed_forms import (
     SplitterTriple,
@@ -23,7 +43,7 @@ from .closed_forms import (
 from .errors import InfeasibleError
 from .scheme import SUCCESS_OUTCOME, SchemeConfig, run_branch
 
-R_FLOOR = 1e-6  # keeps the log barrier finite where P_succ -> 0
+SCAN_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -32,7 +52,7 @@ class OptProblem:
 
     g_eff0: float
     alpha_bounds: tuple[float, float] = (1e-3, 2.0)
-    r_bounds: tuple[float, float] = (R_FLOOR, 0.9)
+    r_bounds: tuple[float, float] = (1e-6, 0.9)
 
     def __post_init__(self):
         if not 1.0 < self.g_eff0 < 2.0:
@@ -40,23 +60,12 @@ class OptProblem:
 
 
 @dataclass(frozen=True)
-class OptSettings:
-    """Barrier schedule, inner-search steps and start list."""
-
-    mu_initial: float = 10.0
-    mu_factor: float = 0.2
-    n_stages: int = 10
-    step_initial: float = 0.1
-    step_floor: float = 1e-9
-    symmetric: bool = False  # restrict to r1 = r2 = r3
-    alpha_starts: tuple[float, ...] = (0.2, 0.5, 0.8)
-    r_starts: tuple[float, ...] = (0.1, 0.3, 0.45)
-    fidelity_dim: int | None = None
-
-
-@dataclass(frozen=True)
 class OptResult:
-    """Best point found, its metrics and the barrier trace."""
+    """Best point found and its metrics.
+
+    `iterations` counts the closed-form evaluations of P and g spent on
+    the search.
+    """
 
     p_opt: float
     alpha_opt: float
@@ -65,7 +74,6 @@ class OptResult:
     g_eff0: float
     converged: bool
     iterations: int
-    barrier_trace: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     @property
     def constraint_slack(self) -> float:
@@ -73,217 +81,108 @@ class OptResult:
         return g_eff_closed(self.alpha_opt, s) - self.g_eff0
 
 
-def _products(x: tuple[float, ...]) -> tuple[float, float]:
-    _, r1, r2, r3 = x
-    t = math.sqrt((1.0 - r1 * r1) * (1.0 - r2 * r2) * (1.0 - r3 * r3))
-    return t, r1 * r2 * r3
+def _transmission(r: float) -> float:
+    # same operations as SplitterTriple.transmission_product, so the slack
+    # seen here is bit-identical to OptResult.constraint_slack
+    t = math.sqrt(1.0 - r * r)
+    return t * t * t
 
 
-def _objective(x: tuple[float, ...]) -> float:
-    t, r = _products(x)
-    return p_succ_products(x[0], t, r)
+class _Reduced:
+    """The problem on the line r1 = r2 = r3 = r with |alpha| eliminated."""
+
+    def __init__(self, problem: OptProblem):
+        self.g0 = problem.g_eff0
+        self.alpha_lo, self.alpha_hi = problem.alpha_bounds
+        self.evals = 0
+
+    def slack(self, alpha: float, t: float) -> float:
+        self.evals += 1
+        return g_eff_products(alpha, t) - self.g0
+
+    def r_top(self, r_lo: float, r_hi: float) -> float:
+        """Largest feasible shared reflectivity in [r_lo, r_hi]."""
+        def edge(r):
+            return self.slack(self.alpha_lo, _transmission(r))
+
+        if edge(r_lo) < 0.0:
+            raise InfeasibleError(f"no feasible point for g_eff0={self.g0}")
+        if edge(r_hi) >= 0.0:
+            return r_hi
+        return brentq(edge, r_lo, r_hi)
+
+    def alpha_star(self, r: float) -> float | None:
+        """Best feasible |alpha| at shared reflectivity r; None if r is infeasible."""
+        t = _transmission(r)
+        lo, hi = self.alpha_lo, self.alpha_hi
+        if self.slack(lo, t) < 0.0:
+            return None
+        if self.slack(hi, t) >= 0.0:
+            return hi
+        alpha = brentq(self.slack, lo, hi, args=(t,), xtol=1e-15)
+        # step back onto the feasible side of the computed root
+        step = math.ulp(alpha)
+        while alpha > lo and self.slack(alpha, t) < 0.0:
+            alpha, step = max(alpha - step, lo), 2.0 * step
+        return alpha
+
+    def p(self, r: float) -> float:
+        alpha = self.alpha_star(r)
+        if alpha is None:
+            return 0.0
+        self.evals += 1
+        return p_succ_products(alpha, _transmission(r), r * r * r)
 
 
-def _gain(x: tuple[float, ...]) -> float:
-    return g_eff_products(x[0], _products(x)[0])
+def maximize(problem: OptProblem) -> OptResult:
+    """Solve the constrained problem exactly on the symmetric line.
 
-
-def _expand(x: tuple[float, ...], symmetric: bool) -> tuple[float, ...]:
-    if symmetric:
-        return (x[0], x[1], x[1], x[1])
-    return x
-
-
-def _barrier_value(x, g_eff0: float, mu: float) -> float:
-    """log P + mu * log(gain slack); -inf outside the feasible region."""
-    slack = _gain(x) - g_eff0
-    if slack <= 0:
-        return -math.inf
-    p = _objective(x)
-    if p <= 0:
-        return -math.inf
-    return math.log(p) + mu * math.log(slack)
-
-
-def _clip(value: float, bounds: tuple[float, float]) -> float:
-    return min(max(value, bounds[0]), bounds[1])
-
-
-def _compass_search(x, problem: OptProblem, mu: float, settings: OptSettings):
-    """Coordinate poll with shrinking step; returns (best x, iterations).
-
-    The poll set also contains the r-symmetrized candidate, which
-    accelerates convergence along the flat equal-product directions
-    without biasing the search (it is accepted only on strict improvement).
+    Raises InfeasibleError when no point of the box satisfies the gain
+    constraint.
     """
-    symmetric = settings.symmetric
-    bounds = [problem.alpha_bounds] + [problem.r_bounds] * (1 if symmetric else 3)
-    def value_at(y):
-        return _barrier_value(_expand(tuple(y), symmetric), problem.g_eff0, mu)
+    reduced = _Reduced(problem)
+    r_lo, r_hi = problem.r_bounds
+    scan = np.linspace(r_lo, reduced.r_top(r_lo, r_hi), SCAN_POINTS)
+    values = [reduced.p(float(r)) for r in scan]
+    k = int(np.argmax(values))
+    refined = minimize_scalar(
+        lambda r: -reduced.p(r),
+        bounds=(scan[max(k - 1, 0)], scan[min(k + 1, SCAN_POINTS - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    # scan[0] is feasible and a refined point wins only with P > 0, so
+    # alpha_star(r_opt) below is never None
+    r_opt, p_opt = float(scan[k]), values[k]
+    if -refined.fun > p_opt:
+        r_opt, p_opt = float(refined.x), -float(refined.fun)
+    alpha_opt = float(reduced.alpha_star(r_opt))
 
-    def penalized_negative(y):
-        # finite surrogate for the -inf infeasible region so the
-        # finite-difference polish can evaluate across the boundary
-        slack = _gain(_expand(tuple(y), symmetric)) - problem.g_eff0
-        if slack <= 0:
-            return 1e6 * (1.0 - slack)
-        return -value_at(y)
-
-    best = value_at(x)
-    step = settings.step_initial
-    iterations = 0
-    polished = False
-    while step >= settings.step_floor:
-        candidates = []
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                y = list(x)
-                y[i] = _clip(y[i] + sign * step, bounds[i])
-                candidates.append(tuple(y))
-        if not symmetric:
-            r_mean = (x[1] + x[2] + x[3]) / 3.0
-            candidates.append((x[0], r_mean, r_mean, r_mean))
-        improved = False
-        for y in candidates:
-            iterations += 1
-            value = _barrier_value(_expand(y, symmetric), problem.g_eff0, mu)
-            if value > best:
-                best, x = value, y
-                improved = True
-                break  # opportunistic poll: move immediately
-        if improved:
-            # expand on success so long valley floors are not crawled
-            step = min(step * 2.0, settings.step_initial)
-            continue
-        step *= 0.5
-        if not polished and step < 1e-4:
-            # quasi-Newton polish with finite-difference gradients; the
-            # compass loop then verifies and refines the polished point
-            polished = True
-            result = minimize(
-                penalized_negative,
-                x,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12},
-            )
-            iterations += result.nfev
-            candidate = tuple(
-                float(_clip(v, bounds[i])) for i, v in enumerate(result.x)
-            )
-            candidate_value = value_at(candidate)
-            if candidate_value > best:
-                best, x = candidate_value, candidate
-    return x, iterations
-
-
-def _default_starts(problem: OptProblem, settings: OptSettings):
-    starts = []
-    for alpha in settings.alpha_starts:
-        for r in settings.r_starts:
-            if settings.symmetric:
-                starts.append((alpha, r))
-            else:
-                starts.append((alpha, r, r, r))
-    # near the alpha -> 0, r -> 0 corner the gain approaches 2, so a point
-    # there is feasible for every admissible threshold
-    if settings.symmetric:
-        starts.append((0.05, 0.02))
-    else:
-        starts.append((0.05, 0.02, 0.02, 0.02))
-    return starts
-
-
-def maximize(
-    problem: OptProblem,
-    settings: OptSettings | None = None,
-    extra_starts=(),
-) -> OptResult:
-    """Solve the constrained problem by the barrier method with multi-start.
-
-    Raises InfeasibleError when no start satisfies the gain constraint.
-    The best point is selected by (objective, then lexicographic parameters)
-    so the result does not depend on evaluation order.
-    """
-    settings = settings or OptSettings()
-    starts = list(extra_starts) + _default_starts(problem, settings)
-    bounds = [problem.alpha_bounds] + [problem.r_bounds] * (1 if settings.symmetric else 3)
-    starts = [
-        tuple(_clip(v, bounds[i]) for i, v in enumerate(x)) for x in starts
-    ]
-    feasible = [x for x in starts if _gain(_expand(x, settings.symmetric)) > problem.g_eff0]
-    if not feasible:
-        raise InfeasibleError(f"no feasible start for g_eff0={problem.g_eff0}")
-
-    best_x = None
-    best_key = None
-    total_iterations = 0
-    trace: list[tuple[float, float]] = []
-    for x0 in feasible:
-        x = x0
-        mu = settings.mu_initial
-        run_trace = []
-        for _ in range(settings.n_stages):
-            x, iters = _compass_search(x, problem, mu, settings)
-            total_iterations += iters
-            run_trace.append((mu, _barrier_value(_expand(x, settings.symmetric), problem.g_eff0, mu)))
-            mu *= settings.mu_factor
-        full = _expand(x, settings.symmetric)
-        key = (_objective(full), tuple(-v for v in full))
-        if best_key is None or key > best_key:
-            best_key, best_x = key, x
-            trace = run_trace
-
-    full = _expand(best_x, settings.symmetric)
-    alpha_opt = full[0]
-    r_opt = full[1:]
-    p_opt = _objective(full)
-    slack = _gain(full) - problem.g_eff0
-    converged = slack >= -1e-8 and p_opt > 0
-
-    cfg = SchemeConfig.symmetric(complex(alpha_opt), r_opt[0], dim=settings.fidelity_dim)
-    if abs(max(r_opt) - min(r_opt)) > 1e-6:
-        cfg = SchemeConfig(
-            alpha=complex(alpha_opt),
-            r1=r_opt[0],
-            r2=r_opt[1],
-            r3=r_opt[2],
-            dim=settings.fidelity_dim,
-        )
-    f_opt = run_branch(cfg, SUCCESS_OUTCOME).fidelity_eff
-
+    slack = reduced.slack(alpha_opt, _transmission(r_opt))
+    cfg = SchemeConfig.symmetric(complex(alpha_opt), r_opt)
     return OptResult(
         p_opt=p_opt,
         alpha_opt=alpha_opt,
-        r_opt=(r_opt[0], r_opt[1], r_opt[2]),
-        f_opt=f_opt,
+        r_opt=(r_opt, r_opt, r_opt),
+        f_opt=run_branch(cfg, SUCCESS_OUTCOME).fidelity_eff,
         g_eff0=problem.g_eff0,
-        converged=converged,
-        iterations=total_iterations,
-        barrier_trace=tuple(trace),
+        converged=bool(refined.success) and slack >= -1e-8 and p_opt > 0,
+        iterations=reduced.evals,
     )
 
 
-def sweep(g_eff0_values, settings: OptSettings | None = None):
-    """Solve for each threshold, warm-starting from the previous optimum.
+def sweep(g_eff0_values):
+    """Solve for each threshold.
 
-    Returns a list of (g_eff0, OptResult | None); failed points carry None
-    and do not abort the sweep.
+    Returns a list of (g_eff0, OptResult | None); infeasible points carry
+    None and do not abort the sweep.
     """
-    settings = settings or OptSettings()
     results = []
-    warm = ()
     for g0 in g_eff0_values:
         try:
-            result = maximize(OptProblem(g_eff0=float(g0)), settings, extra_starts=warm)
+            results.append((float(g0), maximize(OptProblem(g_eff0=float(g0)))))
         except InfeasibleError:
             results.append((float(g0), None))
-            continue
-        results.append((float(g0), result))
-        if settings.symmetric:
-            warm = ((result.alpha_opt, result.r_opt[0]),)
-        else:
-            warm = ((result.alpha_opt, *result.r_opt),)
     return results
 
 

@@ -13,6 +13,7 @@ from nlamp import (
     integrate,
     wigner_coherent,
 )
+from nlamp import cli
 from nlamp.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -165,6 +166,44 @@ class TestOptimizeCommand:
         assert float(row[1]) == pytest.approx(1e-3, rel=0.15)
         assert float(row[2]) == pytest.approx(0.51, abs=0.01)
         assert row[7] == "true"
+
+
+    def test_thresholds_stay_within_requested_range(self, tmp_path):
+        code = main(
+            ["optimize", "--geff0-min", "1.05", "--geff0-max", "1.13",
+             "--geff0-step", "0.05", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        assert [row[0] for row in read_csv(tmp_path / "optimize.csv")[1:]] == ["1.05", "1.1"]
+
+    def test_threshold_list_size_is_limited(self, tmp_path, monkeypatch):
+        def never_called(thresholds):
+            raise AssertionError("the solver must not run")
+
+        monkeypatch.setattr(cli, "optimize_sweep", never_called)
+        step = str(0.9 / (cli.MAX_THRESHOLDS + 1))
+        code = main(
+            ["optimize", "--geff0-min", "1.05", "--geff0-max", "1.95",
+             "--geff0-step", step, "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+
+
+class TestUnusedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--r", "0.9"],
+            ["optimize", "--alpha", "3"],
+            ["sweep", "--r", "1.5"],
+            ["sweep", "--eta-qnd", "0.1"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert not any(tmp_path.iterdir())
 
 
 class TestConfigHandling:
