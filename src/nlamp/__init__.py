@@ -3,11 +3,11 @@
 A weak coherent field is amplified nondeterministically by a
 subtract-add-subtract sequence of three beam splitters conditioned on
 photon-counter outcomes.  The package provides a truncated Fock-space
-simulator of the full pipeline, the closed-form predictions for the
-success branch, phase-space (Wigner) oracles for cross-validation, and an
-exact optimizer for the gain-constrained success probability, which
-reduces the four-parameter problem to a one-dimensional search over a
-shared reflectivity.
+simulator of the pipeline as single-mode Kraus steps, the closed-form
+predictions for the success branch, phase-space (Wigner) oracles for
+cross-validation, and an exact optimizer for the gain-constrained success
+probability, which reduces the four-parameter problem to a
+one-dimensional search over a shared reflectivity.
 """
 
 from .closed_forms import (
@@ -44,13 +44,6 @@ from .fock import (
     pad,
     vacuum,
 )
-from .modes import (
-    BeamSplitter,
-    TwoModeState,
-    apply_beam_splitter,
-    project_mode2,
-    tensor,
-)
 from .optimize import (
     OptProblem,
     OptResult,
@@ -66,6 +59,7 @@ from .scheme import (
     coherence_check,
     enumerate_single_photon_branches,
     gain_fidelity_sweep,
+    kraus_step,
     operator_oracle,
     run_branch,
 )

@@ -43,7 +43,7 @@ EXIT_NOT_CONVERGED = 4
 
 MAX_THRESHOLDS = 10_000
 
-DEFAULTS = {
+SCHEME_DEFAULTS = {
     "alpha": 0.5,
     "r1": 0.4,
     "r2": 0.4,
@@ -52,19 +52,23 @@ DEFAULTS = {
     "eta_qnd": 1.0,
     "eta_pd1": 1.0,
     "eta_pd2": 1.0,
-    "out": ".",
-    # sweep ranges
-    "alpha_min": 0.05,
-    "alpha_max": 1.5,
-    "alpha_steps": 30,
-    "r_values": [0.05, 0.2, 0.4],
-    # optimizer thresholds
-    "geff0_min": 1.05,
-    "geff0_max": 1.95,
-    "geff0_step": 0.05,
-    # phase-space grid
-    "grid": "-6,6,-6,6,241,241",
-    "branch": "1",
+}
+
+# The config keys each subcommand reads, besides "out", with their defaults.
+# Any other key in a config file is an error, like a flag the subcommand
+# does not have.
+DEFAULTS = {
+    "table1": SCHEME_DEFAULTS,
+    "branches": SCHEME_DEFAULTS,
+    "wigner": {**SCHEME_DEFAULTS, "grid": "-6,6,-6,6,241,241", "branch": "1"},
+    "sweep": {
+        "dim": None,
+        "alpha_min": 0.05,
+        "alpha_max": 1.5,
+        "alpha_steps": 30,
+        "r_values": [0.05, 0.2, 0.4],
+    },
+    "optimize": {"geff0_min": 1.05, "geff0_max": 1.95, "geff0_step": 0.05},
 }
 
 
@@ -81,7 +85,7 @@ def _fmt(value) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    config = dict(DEFAULTS)
+    config = {**DEFAULTS[args.command], "out": "."}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -90,30 +94,17 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS) - {"r"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(loaded) - set(config) - ({"r"} if "r1" in config else set())
+        if unread:
+            raise ConfigError(f"{args.command} does not read config keys {sorted(unread)}")
         if "r" in loaded:
             value = loaded.pop("r")
-            loaded.setdefault("r1", value)
-            loaded.setdefault("r2", value)
-            loaded.setdefault("r3", value)
+            for key in ("r1", "r2", "r3"):
+                loaded.setdefault(key, value)
         config.update(loaded)
-    flag_map = {
-        "alpha": "alpha",
-        "dim": "dim",
-        "out": "out",
-        "eta_qnd": "eta_qnd",
-        "eta_pd1": "eta_pd1",
-        "eta_pd2": "eta_pd2",
-        "geff0_min": "geff0_min",
-        "geff0_max": "geff0_max",
-        "geff0_step": "geff0_step",
-        "grid": "grid",
-        "branch": "branch",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    # each subcommand registers only the flags it reads
+    for key in config:
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     if getattr(args, "r", None) is not None:
@@ -121,26 +112,41 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _number(value, name: str) -> float:
+    """A finite real config value; bools, strings and NaN/inf are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _dim(config: dict) -> int | None:
+    return None if config["dim"] is None else _count(config["dim"], "dim", 2)
+
+
 def _scheme_config(config: dict) -> SchemeConfig:
     alpha = config["alpha"]
-    if isinstance(alpha, (list, tuple)):
+    if isinstance(alpha, list):
         if len(alpha) != 2:
             raise ConfigError("complex alpha must be a [re, im] pair")
-        alpha = complex(alpha[0], alpha[1])
+        alpha = complex(_number(alpha[0], "alpha[0]"), _number(alpha[1], "alpha[1]"))
     else:
-        alpha = complex(float(alpha))
+        alpha = complex(_number(alpha, "alpha"))
     try:
         return SchemeConfig(
             alpha=alpha,
-            r1=float(config["r1"]),
-            r2=float(config["r2"]),
-            r3=float(config["r3"]),
-            dim=None if config["dim"] is None else int(config["dim"]),
-            etas=(
-                float(config["eta_qnd"]),
-                float(config["eta_pd1"]),
-                float(config["eta_pd2"]),
-            ),
+            r1=_number(config["r1"], "r1"),
+            r2=_number(config["r2"], "r2"),
+            r3=_number(config["r3"], "r3"),
+            dim=_dim(config),
+            etas=tuple(_number(config[key], key) for key in ("eta_qnd", "eta_pd1", "eta_pd2")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -148,8 +154,8 @@ def _scheme_config(config: dict) -> SchemeConfig:
 
 def _grid_spec(config: dict) -> GridSpec:
     raw = config["grid"]
-    parts = raw.split(",") if isinstance(raw, str) else list(raw)
-    if len(parts) != 6:
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, list) or len(parts) != 6:
         raise ConfigError('grid must be "xmin,xmax,pmin,pmax,nx,np"')
     try:
         return GridSpec(
@@ -160,20 +166,24 @@ def _grid_spec(config: dict) -> GridSpec:
             n_x=int(parts[4]),
             n_p=int(parts[5]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}")
 
 
 def _out_dir(config: dict) -> Path:
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out = Path(config["out"])
+        out.mkdir(parents=True, exist_ok=True)
+    except (TypeError, OSError) as exc:
+        raise ConfigError(f"cannot use output directory {config['out']!r}: {exc}")
     return out
 
 
 def cmd_table1(config: dict) -> int:
     cfg = _scheme_config(config)
+    out = _out_dir(config)
     branches, other = enumerate_single_photon_branches(cfg)
-    path = _out_dir(config) / "table1.csv"
+    path = out / "table1.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -203,15 +213,19 @@ def cmd_table1(config: dict) -> int:
 
 def cmd_sweep(config: dict) -> int:
     alphas = np.linspace(
-        float(config["alpha_min"]),
-        float(config["alpha_max"]),
-        int(config["alpha_steps"]),
+        _number(config["alpha_min"], "alpha_min"),
+        _number(config["alpha_max"], "alpha_max"),
+        _count(config["alpha_steps"], "alpha_steps", 1),
     )
-    if alphas.size == 0 or not config["r_values"]:
-        raise ConfigError("sweep ranges must be non-empty")
-    dim = None if config["dim"] is None else int(config["dim"])
-    rows = gain_fidelity_sweep(alphas, [float(r) for r in config["r_values"]], dim=dim)
-    path = _out_dir(config) / "sweep.csv"
+    if not isinstance(config["r_values"], list) or not config["r_values"]:
+        raise ConfigError(f"r_values must be a non-empty list, got {config['r_values']!r}")
+    r_values = [_number(r, "r_values entry") for r in config["r_values"]]
+    if not all(0.0 <= r < 1.0 for r in r_values):
+        raise ConfigError(f"reflectivities must be in [0, 1), got {r_values}")
+    dim = _dim(config)
+    out = _out_dir(config)
+    rows = gain_fidelity_sweep(alphas, r_values, dim=dim)
+    path = out / "sweep.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alpha_abs", "r", "g_eff", "F_eff", "F_ideal", "P_succ"])
@@ -236,9 +250,9 @@ def _decimals(value: float) -> int:
 
 
 def cmd_optimize(config: dict) -> int:
-    g_min = float(config["geff0_min"])
-    g_max = float(config["geff0_max"])
-    g_step = float(config["geff0_step"])
+    g_min = _number(config["geff0_min"], "geff0_min")
+    g_max = _number(config["geff0_max"], "geff0_max")
+    g_step = _number(config["geff0_step"], "geff0_step")
     if not (1.0 < g_min <= g_max < 2.0 and g_step > 0):
         raise ConfigError("threshold list must lie within (1, 2) with positive step")
     intervals = (g_max - g_min) / g_step + 1e-9
@@ -246,8 +260,9 @@ def cmd_optimize(config: dict) -> int:
         raise ConfigError(f"threshold list would hold more than {MAX_THRESHOLDS} entries")
     digits = max(_decimals(g_step), _decimals(g_min))
     thresholds = [round(g_min + i * g_step, digits) for i in range(math.floor(intervals) + 1)]
+    out = _out_dir(config)
     results = optimize_sweep([g for g in thresholds if g <= g_max])
-    path = _out_dir(config) / "optimize.csv"
+    path = out / "optimize.csv"
     all_converged = True
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -280,23 +295,19 @@ def cmd_wigner(config: dict) -> int:
     cfg = _scheme_config(config)
     spec = _grid_spec(config)
     selector = str(config["branch"])
+    if selector != "input" and selector not in {str(i) for i in range(1, 9)}:
+        raise ConfigError(f"branch must be 1..8 or 'input', got {selector!r}")
     out = _out_dir(config)
     if selector == "input":
         grid = wigner_coherent(cfg.alpha, spec)
         path = out / "wigner_input.csv"
     else:
-        try:
-            index = int(selector)
-        except ValueError:
-            raise ConfigError(f"branch must be 1..8 or 'input', got {selector!r}")
-        if not 1 <= index <= 8:
-            raise ConfigError(f"branch must be 1..8 or 'input', got {selector!r}")
-        branch = run_branch(cfg, BRANCH_ORDER[index - 1])
+        branch = run_branch(cfg, BRANCH_ORDER[int(selector) - 1])
         if not branch.defined:
-            print(f"branch {index} has zero probability; no state to plot", file=sys.stderr)
+            print(f"branch {selector} has zero probability; no state to plot", file=sys.stderr)
             return EXIT_NUMERIC
         grid = wigner_of_state(branch.output, spec)
-        path = out / f"wigner_branch{index}.csv"
+        path = out / f"wigner_branch{selector}.csv"
     export_grid(grid, path)
     print(path)
     return EXIT_OK
@@ -304,6 +315,7 @@ def cmd_wigner(config: dict) -> int:
 
 def cmd_branches(config: dict) -> int:
     cfg = _scheme_config(config)
+    out = _out_dir(config)
     branches, other = enumerate_single_photon_branches(cfg)
     payload = {
         "alpha": [cfg.alpha.real, cfg.alpha.imag],
@@ -331,7 +343,7 @@ def cmd_branches(config: dict) -> int:
                 }
             )
         payload["branches"].append(entry)
-    path = _out_dir(config) / "branches.json"
+    path = out / "branches.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -354,22 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
         "branches": "dump all branch results as branches.json",
     }
     for name, help_text in commands.items():
+        reads = DEFAULTS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        if name in ("table1", "wigner", "branches"):
+        if "alpha" in reads:
             p.add_argument("--alpha", type=float, default=None, help="input amplitude")
             p.add_argument("--r", type=float, default=None, help="shared reflectivity")
             p.add_argument("--eta-qnd", dest="eta_qnd", type=float, default=None)
             p.add_argument("--eta-pd1", dest="eta_pd1", type=float, default=None)
             p.add_argument("--eta-pd2", dest="eta_pd2", type=float, default=None)
-        if name != "optimize":
+        if "dim" in reads:
             p.add_argument("--dim", type=int, default=None, help="truncation dimension")
-        if name == "optimize":
+        if "geff0_min" in reads:
             p.add_argument("--geff0-min", dest="geff0_min", type=float, default=None)
             p.add_argument("--geff0-max", dest="geff0_max", type=float, default=None)
             p.add_argument("--geff0-step", dest="geff0_step", type=float, default=None)
-        if name == "wigner":
+        if "grid" in reads:
             p.add_argument("--grid", type=str, default=None, help="xmin,xmax,pmin,pmax,nx,np")
             p.add_argument("--branch", type=str, default=None, help="1..8 or 'input'")
     return parser

@@ -7,6 +7,12 @@ photodetector PD1.  Splitter 3 mixes with vacuum again and feeds PD2.
 Success is the pattern (QND, PD1, PD2) = (1, 0, 1): subtract one photon,
 add it back, subtract one again.
 
+Each splitter is followed by a photon counter on its reflected arm, so
+every splitter-and-detection step is one single-mode Kraus operator on the
+signal (`kraus_step`); no two-mode state is ever formed.  A branch is three
+such steps, and its probability is the squared norm of the unnormalized
+result.
+
 Every outcome pattern with readings 0 or 1 is enumerated; patterns where
 some detector sees more than one photon are aggregated into a single
 remainder probability.
@@ -17,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import gammaln, xlogy
+
 from . import fock
 from .closed_forms import detector_adjusted
 from .errors import ZeroNormError, ZeroProbabilityError
-from .fock import FockState, coherent_state, fock_state, inner_product, metrics, vacuum
-from .modes import BeamSplitter, apply_beam_splitter, project_mode2, tensor
+from .fock import FockState, coherent_state, inner_product, metrics
 
 # Branch ordering used in reports: success first, then the failure modes
 # grouped by whether the first subtraction succeeded.
@@ -51,6 +59,8 @@ class SchemeConfig:
     etas: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if not math.isfinite(abs(self.alpha)):
+            raise ValueError(f"input amplitude must be finite, got {self.alpha}")
         for r in (self.r1, self.r2, self.r3):
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"reflectivity must be in [0, 1), got {r}")
@@ -95,46 +105,61 @@ class BranchResult:
         return self.output is not None
 
 
-def _propagate(cfg: SchemeConfig, outcome: tuple[int, int, int]) -> tuple[float, FockState]:
-    """Run the conditioned pipeline; returns (ideal probability, output state)."""
-    n_qnd, n_pd1, n_pd2 = outcome
-    dim = cfg.effective_dim
-    state = coherent_state(cfg.alpha, dim)
+def kraus_step(state: FockState, r: float, n: int, ancilla: int = 0) -> FockState:
+    """Unnormalized signal ⟨n|₂ U(r) |state⟩₁|ancilla⟩₂ after one splitter.
 
-    two = apply_beam_splitter(tensor(state, vacuum(1)), BeamSplitter(cfg.r1))
-    p1, state = project_mode2(two, n_qnd)
-
-    # the photons counted nondestructively are added back at splitter 2
-    ancilla = fock_state(n_qnd, n_qnd + 1)
-    two = apply_beam_splitter(tensor(state, ancilla), BeamSplitter(cfg.r2))
-    p2, state = project_mode2(two, n_pd1)
-
-    two = apply_beam_splitter(tensor(state, vacuum(1)), BeamSplitter(cfg.r3))
-    p3, state = project_mode2(two, n_pd2)
-
-    return p1 * p2 * p3, state
+    U(r) maps the coherent pair (α, β) to (tα − rβ, tβ + rα), t = √(1 − r²);
+    `ancilla` photons enter its second port and `n` are counted there.  With
+    a vacuum ancilla the step is K₀(n) = rⁿ/√n! · t^{n̂} aⁿ, and with k
+    ancilla photons it is K_k(n) = (1/√k!) Σ_{j ≤ min(k, n)} C(k, j) tʲ
+    (−r)^{k−j} √(n!/(n−j)!) a†^{k−j} K₀(n−j), whose output has dim + k
+    levels, so no amplitude is lost.  The squared norm of the result is the
+    outcome probability times the squared norm of `state`.
+    """
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1), got {r}")
+    if n < 0 or ancilla < 0:
+        raise ValueError("photon numbers must be non-negative")
+    t = math.sqrt(1.0 - r * r)
+    out = np.zeros(state.dim + ancilla, dtype=complex)
+    for j in range(min(ancilla, n) + 1):
+        lowered, raised = n - j, ancilla - j
+        m = np.arange(max(state.dim - lowered, 0))
+        # K₀(n−j) sends |m+n−j⟩ to rⁿ⁻ʲ tᵐ √C(m+n−j, m) |m⟩, then a†^{k−j} adds
+        # √((m+k−j)!/m!); summed in log space so no factorial overflows
+        log_amp = 0.5 * (
+            gammaln(m + lowered + 1) - gammaln(lowered + 1) + gammaln(m + raised + 1)
+        ) - gammaln(m + 1) + xlogy(lowered, r) + xlogy(m, t)
+        weight = math.comb(ancilla, j) * t**j * (-r) ** raised
+        weight *= math.sqrt(math.perm(n, j) / math.factorial(ancilla))
+        out[raised : raised + m.size] += weight * np.exp(log_amp) * state.amps[lowered:]
+    return FockState(out)
 
 
 def run_branch(cfg: SchemeConfig, outcome: tuple[int, int, int]) -> BranchResult:
     """Evaluate one detection pattern end to end.
 
-    Probability is the product of the three conditional outcome
-    probabilities, scaled by the detector efficiencies when they are not
-    all unity.  Metric conventions: g_eff = |⟨a⟩_out| / |alpha|;
-    fidelity_eff compares against a coherent state of amplitude
-    g_eff * alpha (input phase preserved), fidelity_energy against the
-    coherent state with the same mean photon number (the convention the
-    published branch table follows), and fidelity_ideal against |2 alpha⟩.
+    Probability is the squared norm of the three Kraus steps applied to the
+    input, scaled by the detector efficiencies when they are not all unity;
+    below 1e-300 the branch is reported as unreachable.  Metric
+    conventions: g_eff = |⟨a⟩_out| / |alpha|; fidelity_eff compares against
+    a coherent state of amplitude g_eff * alpha (input phase preserved),
+    fidelity_energy against the coherent state with the same mean photon
+    number (the convention the published branch table follows), and
+    fidelity_ideal against |2 alpha⟩.
     """
-    if any(n < 0 for n in outcome):
-        raise ValueError("detector readings must be non-negative")
     if max(outcome) >= cfg.effective_dim:
         raise ValueError("detector reading exceeds truncation dimension")
+    n_qnd, n_pd1, n_pd2 = outcome
+    state = kraus_step(coherent_state(cfg.alpha, cfg.effective_dim), cfg.r1, n_qnd)
+    # the photons counted nondestructively are added back at splitter 2
+    state = kraus_step(state, cfg.r2, n_pd1, ancilla=n_qnd)
+    state = kraus_step(state, cfg.r3, n_pd2)
     nan = float("nan")
-    try:
-        probability, output = _propagate(cfg, outcome)
-    except ZeroProbabilityError:
+    probability = float(np.vdot(state.amps, state.amps).real)
+    if probability < 1e-300:
         return BranchResult(outcome, 0.0, None, nan, nan, nan, nan, nan)
+    output = FockState(state.amps / math.sqrt(probability))
     probability = detector_adjusted(probability, *cfg.etas)
 
     m = metrics(output)

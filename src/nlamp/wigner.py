@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import BoundaryMassError, GridMismatchError, TruncationError
 from .fock import FockState
@@ -33,6 +34,11 @@ class GridSpec:
     p_max: float = 6.0
     n_x: int = 241
     n_p: int = 241
+
+    def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.p_min, self.p_max)
+        if not all(map(math.isfinite, bounds)) or self.n_x < 1 or self.n_p < 1:
+            raise ValueError(f"grid needs finite bounds and positive counts, got {self}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -119,29 +125,25 @@ def wigner_of_state(state: FockState, spec: GridSpec = DEFAULT_GRID) -> WignerGr
     u = 4.0 * np.abs(z) ** 2
     envelope = np.exp(-0.5 * u) / math.pi
 
-    signs = (-1.0) ** np.arange(dim)
-    # diagonal (k = 0) part
     acc = np.zeros_like(xg)
-    for n in range(dim):
-        weight = signs[n] * abs(c[n]) ** 2
-        if weight != 0.0:
-            acc += weight * _laguerre(n, 0, u)
-
-    # off-diagonal ladders, k = m - n >= 1
     two_zbar = 2.0 * np.conj(z)
     zbar_pow = np.ones_like(z)
-    for k in range(1, dim):
+    # one ladder per k = m - n >= 0; L_n^k(u) is advanced in n by its
+    # three-term recurrence while the ladder is summed
+    for k in range(dim):
+        n = np.arange(dim - k)
+        ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(n + k + 1)))  # sqrt(n! / (n+k)!)
+        coeffs = c[k:] * np.conj(c[: dim - k]) * (-1.0) ** n * ratio
+        nonzero = np.flatnonzero(coeffs)
+        if nonzero.size:
+            prev = np.ones_like(u)
+            cur = 1.0 + k - u
+            ladder = coeffs[0] * prev
+            for i in range(1, nonzero[-1] + 1):
+                ladder += coeffs[i] * cur
+                prev, cur = cur, ((2 * i + k + 1 - u) * cur - (i + k) * prev) / (i + 1)
+            acc += (1.0 if k == 0 else 2.0) * np.real(zbar_pow * ladder)
         zbar_pow = zbar_pow * two_zbar
-        ladder = np.zeros_like(z)
-        ratio = 1.0  # sqrt(n! / (n+k)!)
-        for j in range(1, k + 1):
-            ratio /= math.sqrt(j)
-        for n in range(dim - k):
-            coeff = c[n + k] * np.conj(c[n]) * signs[n] * ratio
-            if coeff != 0.0:
-                ladder += coeff * _laguerre(n, k, u)
-            ratio *= math.sqrt((n + 1) / (n + k + 1))
-        acc += 2.0 * np.real(zbar_pow * ladder)
 
     return WignerGrid(spec, envelope * acc)
 

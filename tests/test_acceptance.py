@@ -12,21 +12,19 @@ import pytest
 
 from nlamp import (
     BRANCH_ORDER,
-    BeamSplitter,
     FockState,
     GridSpec,
     OptProblem,
     SUCCESS_OUTCOME,
     SchemeConfig,
     SplitterTriple,
-    TwoModeState,
-    apply_beam_splitter,
     coherence_check,
     enumerate_single_photon_branches,
     fidelity_grid,
     expect_a_grid,
     g_eff_closed,
     inner_product,
+    kraus_step,
     maximize,
     metrics,
     normalized,
@@ -226,19 +224,22 @@ def test_criterion_7_invariants():
     ok &= abs(rotated.g_eff - base.g_eff) < 1e-12
     ok &= abs(rotated.fidelity_eff - base.fidelity_eff) < 1e-12
 
-    # beam-splitter unitarity and photon-number conservation
+    # Kraus completeness and photon-number balance of one splitter step:
+    # sum_n |K(n) psi|^2 = 1 and sum_n <K(n) psi|(n_hat + n)|K(n) psi> = <n_hat> + ancilla
     rng = np.random.default_rng(7)
-    number = np.arange(9)[:, None] + np.arange(8)[None, :]
     for _ in range(20):
-        amps = rng.normal(size=(9, 8)) + 1j * rng.normal(size=(9, 8))
-        state = TwoModeState(amps / np.linalg.norm(amps))
-        out = apply_beam_splitter(state, BeamSplitter(0.55))
-        ok &= abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
-        d1, d2 = out.dims
-        number_out = np.arange(d1)[:, None] + np.arange(d2)[None, :]
-        before = float(np.sum(number * np.abs(state.amps) ** 2))
-        after = float(np.sum(number_out * np.abs(out.amps) ** 2))
-        ok &= abs(before - after) < 1e-12
+        amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+        state = FockState(amps / np.linalg.norm(amps))
+        mean_n = float(np.sum(np.arange(9) * np.abs(state.amps) ** 2))
+        for ancilla in (0, 1):
+            outputs = [kraus_step(state, 0.55, n, ancilla) for n in range(9 + ancilla)]
+            completeness = sum(float(np.sum(np.abs(out.amps) ** 2)) for out in outputs)
+            ok &= abs(completeness - 1.0) < 1e-12
+            number = sum(
+                float(np.sum((np.arange(out.dim) + n) * np.abs(out.amps) ** 2))
+                for n, out in enumerate(outputs)
+            )
+            ok &= abs(number - (mean_n + ancilla)) < 1e-12
 
     # truncation-doubling stability of every reported table number
     shift = 0.0
@@ -253,4 +254,4 @@ def test_criterion_7_invariants():
         )
     ok &= shift < 1e-10
 
-    report(7, f"completeness, covariance, unitarity, doubling shift {shift:.1e}", ok)
+    report(7, f"completeness, covariance, Kraus completeness, doubling shift {shift:.1e}", ok)

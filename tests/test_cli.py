@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlamp import (
     GridSpec,
@@ -229,6 +231,14 @@ class TestConfigHandling:
         main(["table1", "--out", str(b)])
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
 
+    def test_key_the_subcommand_does_not_read_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 3, "r": 0.9}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert "['alpha', 'r']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_complex_alpha_pair(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"alpha": [0.3, 0.4]}))
@@ -236,3 +246,77 @@ class TestConfigHandling:
         rows = read_csv(tmp_path / "table1.csv")
         # only |alpha| = 0.5 matters for the probabilities
         assert float(rows[1][6]) == pytest.approx(1.3563e-3, rel=2e-4)
+
+
+class TestMalformedValues:
+    """Every malformed value is a config error found before any computation."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_flag(self, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["table1", "--alpha", value, "--out", str(out)]) == EXIT_CONFIG
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("sweep", {"r_values": [1.5]}),
+            ("sweep", {"dim": 1}),
+            ("optimize", {"geff0_step": "x"}),
+            ("sweep", {"alpha_steps": "x"}),
+        ],
+    )
+    def test_bad_config_value(self, command, values, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Valid values are kept small so that every example runs in milliseconds.
+VALID_VALUES = {
+    "alpha": st.one_of(st.floats(0.0, 1.0), st.lists(st.floats(-0.7, 0.7), min_size=2, max_size=2)),
+    "r": st.floats(0.0, 0.9),
+    "r1": st.floats(0.0, 0.9),
+    "r2": st.floats(0.0, 0.9),
+    "r3": st.floats(0.0, 0.9),
+    "dim": st.one_of(st.none(), st.integers(2, 40)),
+    "eta_qnd": st.floats(0.0, 1.0),
+    "eta_pd1": st.floats(0.0, 1.0),
+    "eta_pd2": st.floats(0.0, 1.0),
+    "grid": st.sampled_from(["-3,3,-3,3,5,5", [-4, 4, -4, 4, 3, 7]]),
+    "branch": st.sampled_from(["input", "1", "5", "8", 2]),
+    "alpha_min": st.floats(0.0, 1.0),
+    "alpha_max": st.floats(0.0, 1.0),
+    "alpha_steps": st.integers(1, 3),
+    "r_values": st.lists(st.floats(0.0, 0.9), min_size=1, max_size=2),
+    "geff0_min": st.floats(1.01, 1.99),
+    "geff0_max": st.floats(1.01, 1.99),
+    "geff0_step": st.floats(0.3, 1.0),
+}
+# wrong types, non-finite numbers and out-of-range values
+BAD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, "x", "", True, None, [], [1, 2, 3], {}]
+)
+
+
+@st.composite
+def command_configs(draw):
+    command = draw(st.sampled_from(sorted(cli.DEFAULTS)))
+    keys = sorted(cli.DEFAULTS[command]) + (["r"] if "r1" in cli.DEFAULTS[command] else [])
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
+    return command, {key: draw(st.one_of(VALID_VALUES[key], BAD_VALUES)) for key in chosen}
+
+
+@settings(max_examples=80, deadline=None)
+@given(command_configs())
+def test_any_config_ends_in_a_documented_exit_code(tmp_path_factory, command_config):
+    command, values = command_config
+    directory = tmp_path_factory.mktemp("property")
+    config = directory / "config.json"
+    config.write_text(json.dumps(values))
+    code = main([command, "--config", str(config), "--out", str(directory / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_NOT_CONVERGED)

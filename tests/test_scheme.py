@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nlamp import (
     BRANCH_ORDER,
+    FockState,
     SUCCESS_OUTCOME,
     SchemeConfig,
     SplitterTriple,
@@ -15,6 +17,7 @@ from nlamp import (
     g_eff_closed,
     gain_fidelity_sweep,
     inner_product,
+    kraus_step,
     operator_oracle,
     pad,
     run_branch,
@@ -223,6 +226,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_branch(TABLE_CONFIG, (-1, 0, 1))
 
+    def test_reading_beyond_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            run_branch(TABLE_CONFIG, (0, TABLE_CONFIG.effective_dim, 0))
+
+    @pytest.mark.parametrize(
+        "r, n, ancilla", [(1.0, 0, 0), (-0.1, 0, 0), (0.4, -1, 0), (0.4, 0, -1)]
+    )
+    def test_kraus_step_rejects_bad_inputs(self, r, n, ancilla):
+        with pytest.raises(ValueError):
+            kraus_step(coherent_state(0.5, 20), r, n, ancilla)
+
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_amplitude_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            SchemeConfig.symmetric(alpha, 0.4)
+
     def test_reflectivity_range(self):
         with pytest.raises(ValueError):
             SchemeConfig.symmetric(0.5 + 0j, 1.0)
@@ -230,3 +249,67 @@ class TestValidation:
     def test_efficiency_range(self):
         with pytest.raises(ValueError):
             SchemeConfig.symmetric(0.5 + 0j, 0.4, etas=(1.1, 1.0, 1.0))
+
+
+# The dense oracle exponentiates the full two-mode generator a b† − a† b on
+# ORACLE_DIM² levels.  Truncating the generator is exact on every block of
+# total photon number below ORACLE_DIM, so inputs keep N ≤ 11 + 3.
+ORACLE_DIM = 16
+INPUT_DIM = 12
+
+
+def dense_splitter(r):
+    """U(r) = exp(asin(r) (a b† − a† b)) on ORACLE_DIM² levels by dense expm."""
+    a = np.diag(np.sqrt(np.arange(1, ORACLE_DIM)), k=1)
+    generator = np.kron(a, a.conj().T) - np.kron(a.conj().T, a)
+    return expm(math.asin(r) * generator)
+
+
+def dense_step(amps, u, n, ancilla):
+    """⟨n|₂ U |amps⟩₁|ancilla⟩₂ for the dense two-mode unitary U."""
+    psi = np.zeros(ORACLE_DIM, dtype=complex)
+    psi[: amps.size] = amps
+    joint = (u @ np.kron(psi, np.eye(ORACLE_DIM)[ancilla])).reshape(ORACLE_DIM, ORACLE_DIM)
+    return joint[:, n]
+
+
+def random_state(rng, dim):
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return FockState(amps / np.linalg.norm(amps))
+
+
+class TestKrausAgainstDenseOracle:
+    @pytest.mark.parametrize("ancilla", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0.0, 0.37, 0.55])
+    def test_step_matches_projected_unitary(self, r, ancilla):
+        rng = np.random.default_rng(17 + ancilla)
+        u = dense_splitter(r)
+        for _ in range(5):
+            state = random_state(rng, INPUT_DIM)
+            for n in range(INPUT_DIM + ancilla):
+                out = kraus_step(state, r, n, ancilla)
+                assert out.dim == INPUT_DIM + ancilla
+                expected = dense_step(state.amps, u, n, ancilla)
+                np.testing.assert_allclose(
+                    pad(out, ORACLE_DIM).amps, expected, rtol=0, atol=1e-12
+                )
+
+    def test_branches_match_dense_pipeline(self):
+        rng = np.random.default_rng(29)
+        outcomes = list(BRANCH_ORDER) + [(2, 1, 0), (3, 1, 1)]
+        for _ in range(5):
+            alpha = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            r1, r2, r3 = rng.uniform(0.1, 0.6, size=3)
+            cfg = SchemeConfig(alpha, r1, r2, r3, dim=INPUT_DIM)
+            u1, u2, u3 = (dense_splitter(r) for r in (r1, r2, r3))
+            for outcome in outcomes:
+                n_qnd, n_pd1, n_pd2 = outcome
+                amps = coherent_state(alpha, INPUT_DIM).amps
+                amps = dense_step(amps, u1, n_qnd, 0)
+                amps = dense_step(amps, u2, n_pd1, n_qnd)
+                amps = dense_step(amps, u3, n_pd2, 0)
+                branch = run_branch(cfg, outcome)
+                assert branch.output.dim == INPUT_DIM + n_qnd
+                assert abs(branch.probability - np.vdot(amps, amps).real) < 1e-12
+                unnormalized = math.sqrt(branch.probability) * pad(branch.output, ORACLE_DIM).amps
+                np.testing.assert_allclose(unnormalized, amps, rtol=0, atol=1e-12)

@@ -83,12 +83,16 @@ class TestClosedFormGrids:
 
 class TestGeneralState:
     def test_matches_coherent_closed_form(self):
-        grid = wigner_of_state(coherent_state(0.5, 30))
-        np.testing.assert_allclose(grid.values, wigner_coherent(0.5 + 0j).values, atol=1e-8)
+        # the complex amplitude exercises the phases of the off-diagonal terms
+        for alpha, dim in ((0.5 + 0j, 30), (0.9 - 0.6j, 40)):
+            grid = wigner_of_state(coherent_state(alpha, dim))
+            np.testing.assert_allclose(grid.values, wigner_coherent(alpha).values, atol=1e-8)
 
     def test_matches_fock_closed_form(self):
-        grid = wigner_of_state(fock_state(1, 10))
-        np.testing.assert_allclose(grid.values, wigner_fock(1).values, atol=1e-8)
+        # n = 59 in 60 levels is the top of the kernel's dimension cap
+        for n, dim in ((1, 10), (0, 60), (7, 60), (59, 60)):
+            grid = wigner_of_state(fock_state(n, dim))
+            np.testing.assert_allclose(grid.values, wigner_fock(n).values, atol=1e-8)
 
     def test_superposition_normalization(self):
         rng = np.random.default_rng(21)
