@@ -42,6 +42,13 @@ EXIT_NUMERIC = 3
 EXIT_NOT_CONVERGED = 4
 
 MAX_THRESHOLDS = 10_000
+# Size bounds, checked before anything is allocated.  MAX_DIM holds for the
+# truncation dimension whether it is given or derived from the amplitude.
+# The grid counts are bounded one by one because the Wigner quadrature holds
+# an n_x by ~4 dim / pi array whatever n_p is.
+MAX_DIM = 1000
+MAX_SWEEP_POINTS = 10_000  # alpha_steps * len(r_values)
+MAX_GRID_POINTS = 1001  # n_x and n_p, each
 
 SCHEME_DEFAULTS = {
     "alpha": 0.5,
@@ -127,8 +134,18 @@ def _count(value, name: str, minimum: int) -> int:
     return value
 
 
-def _dim(config: dict) -> int | None:
-    return None if config["dim"] is None else _count(config["dim"], "dim", 2)
+def _dim(config: dict, alpha_abs: float) -> int | None:
+    """The dim key; without it, the dimension derived for alpha_abs is bounded."""
+    if config["dim"] is not None:
+        dim = _count(config["dim"], "dim", 2)
+        if dim > MAX_DIM:
+            raise ConfigError(f"dim is {dim}, above MAX_DIM = {MAX_DIM}")
+        return dim
+    # an amplitude above MAX_DIM needs even more levels; testing it first
+    # keeps the dimension estimate from overflowing
+    if alpha_abs > MAX_DIM or SchemeConfig.symmetric(alpha_abs, 0.0).effective_dim > MAX_DIM:
+        raise ConfigError(f"|alpha| = {alpha_abs:g} needs more than MAX_DIM = {MAX_DIM} levels")
+    return None
 
 
 def _scheme_config(config: dict) -> SchemeConfig:
@@ -145,7 +162,7 @@ def _scheme_config(config: dict) -> SchemeConfig:
             r1=_number(config["r1"], "r1"),
             r2=_number(config["r2"], "r2"),
             r3=_number(config["r3"], "r3"),
-            dim=_dim(config),
+            dim=_dim(config, abs(alpha)),
             etas=tuple(_number(config[key], key) for key in ("eta_qnd", "eta_pd1", "eta_pd2")),
         )
     except ValueError as exc:
@@ -158,16 +175,15 @@ def _grid_spec(config: dict) -> GridSpec:
     if not isinstance(parts, list) or len(parts) != 6:
         raise ConfigError('grid must be "xmin,xmax,pmin,pmax,nx,np"')
     try:
-        return GridSpec(
-            x_min=float(parts[0]),
-            x_max=float(parts[1]),
-            p_min=float(parts[2]),
-            p_max=float(parts[3]),
-            n_x=int(parts[4]),
-            n_p=int(parts[5]),
-        )
+        spec = GridSpec(*map(float, parts[:4]), *map(int, parts[4:]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec: {exc}")
+    if max(spec.n_x, spec.n_p) > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid counts {spec.n_x}, {spec.n_p}: each must be at most "
+            f"MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
+    return spec
 
 
 def _out_dir(config: dict) -> Path:
@@ -212,19 +228,22 @@ def cmd_table1(config: dict) -> int:
 
 
 def cmd_sweep(config: dict) -> int:
-    alphas = np.linspace(
-        _number(config["alpha_min"], "alpha_min"),
-        _number(config["alpha_max"], "alpha_max"),
-        _count(config["alpha_steps"], "alpha_steps", 1),
-    )
+    alpha_min = _number(config["alpha_min"], "alpha_min")
+    alpha_max = _number(config["alpha_max"], "alpha_max")
+    steps = _count(config["alpha_steps"], "alpha_steps", 1)
     if not isinstance(config["r_values"], list) or not config["r_values"]:
         raise ConfigError(f"r_values must be a non-empty list, got {config['r_values']!r}")
     r_values = [_number(r, "r_values entry") for r in config["r_values"]]
     if not all(0.0 <= r < 1.0 for r in r_values):
         raise ConfigError(f"reflectivities must be in [0, 1), got {r_values}")
-    dim = _dim(config)
+    if steps * len(r_values) > MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"alpha_steps * len(r_values) is {steps * len(r_values)}, "
+            f"above MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
+        )
+    dim = _dim(config, max(abs(alpha_min), abs(alpha_max)))
     out = _out_dir(config)
-    rows = gain_fidelity_sweep(alphas, r_values, dim=dim)
+    rows = gain_fidelity_sweep(np.linspace(alpha_min, alpha_max, steps), r_values, dim=dim)
     path = out / "sweep.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

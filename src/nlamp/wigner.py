@@ -3,25 +3,19 @@
 Serves as an oracle independent of the Fock-basis route: fidelities and
 field expectation values are computed by quadrature over W(x, p) and
 cross-checked against inner products and ladder-operator expectations.
+General pure states are drawn from their wavefunction (`wigner_of_state`);
+the coherent and Fock closed forms are the independent oracles.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import BoundaryMassError, GridMismatchError, TruncationError
+from .errors import BoundaryMassError, GridMismatchError
 from .fock import FockState
-
-# Laguerre recurrences for the cross kernel are accurate well past this,
-# but growth of the k index terms is unverified beyond it.
-MAX_KERNEL_DIM = 60
-
-WIGNER_FLOOR = -1.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -91,61 +85,66 @@ def wigner_fock(n: int, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
         raise ValueError("photon number must be non-negative")
     xg, pg = _mesh(spec)
     u = 2.0 * (xg * xg + pg * pg)
-    w = ((-1) ** n / math.pi) * np.exp(-0.5 * u) * _laguerre(n, 0, u)
+    w = ((-1) ** n / math.pi) * np.exp(-0.5 * u) * _laguerre(n, u)
     return WignerGrid(spec, w)
 
 
-def _laguerre(n: int, k: int, u: np.ndarray) -> np.ndarray:
-    """Associated Laguerre L_n^k(u) by the three-term recurrence in n."""
+def _laguerre(n: int, u: np.ndarray) -> np.ndarray:
+    """Laguerre L_n(u) by the three-term recurrence in n."""
     prev = np.ones_like(u)
     if n == 0:
         return prev
-    cur = 1.0 + k - u
+    cur = 1.0 - u
     for m in range(1, n):
-        prev, cur = cur, ((2 * m + k + 1 - u) * cur - (m + k) * prev) / (m + 1)
+        prev, cur = cur, ((2 * m + 1 - u) * cur - m * prev) / (m + 1)
     return cur
 
 
-def wigner_of_state(state: FockState, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
-    """W of an arbitrary truncated pure state via the cross-Wigner kernel.
+def _wavefunction(amps: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """psi(q) = sum_n c_n phi_n(q) by the normalized Hermite-function recurrence.
 
-    Uses the Fock-basis expansion W = sum_{m,n} c_m conj(c_n) W_{mn} with
-    W_{mn} (m >= n, k = m-n) proportional to (2 conj(z))^k e^{-2|z|^2}
-    L_n^k(4|z|^2), z = (x + i p) / sqrt(2).  Reduces to the coherent and
-    Fock closed forms on their domains.
+    phi_{n+1} = sqrt(2/(n+1)) q phi_n - sqrt(n/(n+1)) phi_{n-1}, with each
+    phi_n held as cur * e^{scale}: the Gaussian e^{-q^2/2} starts in scale,
+    and every 16 steps the size of cur moves there too, so at large q and
+    large n neither the Gaussian underflows nor the polynomial overflows.
     """
-    if state.dim > MAX_KERNEL_DIM:
-        raise TruncationError(
-            f"cross-Wigner kernel limited to dim <= {MAX_KERNEL_DIM}, got {state.dim}"
-        )
-    c = state.amps
-    dim = state.dim
-    xg, pg = _mesh(spec)
-    z = (xg + 1j * pg) / math.sqrt(2)
-    u = 4.0 * np.abs(z) ** 2
-    envelope = np.exp(-0.5 * u) / math.pi
+    scale = -0.5 * q * q
+    prev, cur = np.zeros_like(q), np.full_like(q, math.pi**-0.25)
+    psi = amps[0] * cur
+    for n in range(1, amps.size):
+        prev, cur = cur, math.sqrt(2.0 / n) * q * cur - math.sqrt((n - 1) / n) * prev
+        psi += amps[n] * cur
+        if n % 16 == 0:
+            size = np.maximum(np.hypot(cur, prev), 1.0)
+            prev, cur, psi = prev / size, cur / size, psi / size
+            scale += np.log(size)
+    return psi * np.exp(scale)
 
-    acc = np.zeros_like(xg)
-    two_zbar = 2.0 * np.conj(z)
-    zbar_pow = np.ones_like(z)
-    # one ladder per k = m - n >= 0; L_n^k(u) is advanced in n by its
-    # three-term recurrence while the ladder is summed
-    for k in range(dim):
-        n = np.arange(dim - k)
-        ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(n + k + 1)))  # sqrt(n! / (n+k)!)
-        coeffs = c[k:] * np.conj(c[: dim - k]) * (-1.0) ** n * ratio
-        nonzero = np.flatnonzero(coeffs)
-        if nonzero.size:
-            prev = np.ones_like(u)
-            cur = 1.0 + k - u
-            ladder = coeffs[0] * prev
-            for i in range(1, nonzero[-1] + 1):
-                ladder += coeffs[i] * cur
-                prev, cur = cur, ((2 * i + k + 1 - u) * cur - (i + k) * prev) / (i + 1)
-            acc += (1.0 if k == 0 else 2.0) * np.real(zbar_pow * ladder)
-        zbar_pow = zbar_pow * two_zbar
 
-    return WignerGrid(spec, envelope * acc)
+def wigner_of_state(state: FockState, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
+    """W of an arbitrary truncated pure state from its wavefunction.
+
+    W(x, p) = (1/pi) ∫ psi*(x+y) psi(x-y) e^{2ipy} dy by the trapezoid rule
+    with step h over y_j = j h in [0, reach]; the y < 0 half is the complex
+    conjugate, so W = (2h/pi) Re sum_j w_j psi*(x+y_j) psi(x-y_j) e^{2ipy_j}
+    with w_0 = 1/2, w_j = 1.  Beyond reach = sqrt(2 dim + 1) + 8 both psi and
+    W vanish in double precision.  By Poisson summation the rule returns
+    sum_k W(x, p + k pi/h), and h = pi / (2 reach) puts every copy with
+    k != 0 at |p| >= reach.  Rows and columns with |x| or |p| above reach are
+    zero, so memory does not depend on the grid's range, and the sum over y
+    is one matrix product for the whole grid.
+    """
+    reach = math.sqrt(2 * state.dim + 1) + 8.0
+    h = math.pi / (2.0 * reach)
+    y = h * np.arange(math.ceil(reach / h) + 1)
+    x, p = spec.axes()
+    rows, cols = np.abs(x) <= reach, np.abs(p) <= reach
+    xr = x[rows, None]
+    f = np.conj(_wavefunction(state.amps, xr + y)) * _wavefunction(state.amps, xr - y)
+    f[:, 0] *= 0.5
+    w = np.zeros((spec.n_x, spec.n_p))
+    w[np.ix_(rows, cols)] = (f @ np.exp(2j * np.outer(y, p[cols]))).real * (2.0 * h / math.pi)
+    return WignerGrid(spec, w)
 
 
 def _check_same_grid(a: WignerGrid, b: WignerGrid):
@@ -190,60 +189,36 @@ def export_grid(grid: WignerGrid, destination) -> None:
     """Write the grid as CSV: header with bounds/counts, then x,p,w rows.
 
     Rows are emitted row-major with x as the outer index, 17 significant
-    digits, locale independent.
+    digits, locale independent; each axis and W value is formatted once.
     """
+    if not hasattr(destination, "write"):
+        with open(destination, "w", newline="") as fh:
+            return export_grid(grid, fh)
     spec = grid.spec
     x, p = spec.axes()
-
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        # header carries the grid geometry: x_min,x_max,p_min,p_max,nx,np
-        writer.writerow(
-            [
-                f"{spec.x_min:.17g}",
-                f"{spec.x_max:.17g}",
-                f"{spec.p_min:.17g}",
-                f"{spec.p_max:.17g}",
-                spec.n_x,
-                spec.n_p,
-            ]
-        )
-        for i in range(spec.n_x):
-            for j in range(spec.n_p):
-                writer.writerow(
-                    [f"{x[i]:.17g}", f"{p[j]:.17g}", f"{grid.values[i, j]:.17g}"]
-                )
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", newline="") as fh:
-            _write(fh)
+    # header carries the grid geometry: x_min,x_max,p_min,p_max,nx,np
+    header = ",".join(f"{v:.17g}" for v in (spec.x_min, spec.x_max, spec.p_min, spec.p_max))
+    destination.write(f"{header},{spec.n_x},{spec.n_p}\n")
+    xs = [f"{v:.17g}," for v in x.tolist()]
+    ps = [f"{v:.17g}," for v in p.tolist()]
+    # one write per x row keeps memory at one row of text
+    for xi, row in zip(xs, grid.values):
+        destination.write("".join([f"{xi}{pj}{w:.17g}\n" for pj, w in zip(ps, row.tolist())]))
 
 
 def import_grid(source) -> WignerGrid:
-    """Read a grid written by export_grid."""
+    """Read a grid written by export_grid.
 
-    def _read(fh):
-        reader = csv.reader(fh)
-        bounds = next(reader)
-        if len(bounds) != 6:
-            raise ValueError("not a Wigner grid CSV")
-        spec = GridSpec(
-            x_min=float(bounds[0]),
-            x_max=float(bounds[1]),
-            p_min=float(bounds[2]),
-            p_max=float(bounds[3]),
-            n_x=int(bounds[4]),
-            n_p=int(bounds[5]),
-        )
-        values = np.empty((spec.n_x, spec.n_p))
-        for i in range(spec.n_x):
-            for j in range(spec.n_p):
-                values[i, j] = float(next(reader)[2])
-        return WignerGrid(spec, values)
-
-    if hasattr(source, "read"):
-        return _read(source)
-    with open(source, newline="") as fh:
-        return _read(fh)
+    Raises ValueError unless exactly nx * np rows follow the header and
+    every W value is a number.
+    """
+    if not hasattr(source, "read"):
+        with open(source, newline="") as fh:
+            return import_grid(fh)
+    bounds = source.readline().split(",")
+    if len(bounds) != 6:
+        raise ValueError("not a Wigner grid CSV")
+    spec = GridSpec(*map(float, bounds[:4]), int(bounds[4]), int(bounds[5]))
+    values = np.loadtxt(source, delimiter=",", usecols=2, ndmin=1)
+    # reshape raises ValueError unless exactly nx * np rows were read
+    return WignerGrid(spec, values.reshape(spec.n_x, spec.n_p))

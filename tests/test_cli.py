@@ -133,6 +133,12 @@ class TestWigner:
     def test_bad_branch_selector(self, tmp_path):
         assert main(["wigner", "--branch", "9", "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_output_above_sixty_levels(self, tmp_path):
+        # the success branch at alpha = 2 has 61 levels
+        code = main(["wigner", "--alpha", "2.0", "--branch", "1", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert abs(integrate(import_grid(tmp_path / "wigner_branch1.csv")) - 1.0) < 1e-6
+
 
 class TestBranchesJson:
     def test_payload_shape(self, tmp_path):
@@ -276,6 +282,56 @@ class TestMalformedValues:
         assert not out.exists()
 
 
+class TestSizeBounds:
+    """Each size just above its bound exits 2 naming the bound, before any output.
+
+    The values are small enough that a run without the check would finish
+    quickly and exit 0.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["table1", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
+            # 4 * 14^2 + 16 * 14 + 12 = 1020 levels derived from the amplitude
+            (["table1", "--alpha", "14"], "MAX_DIM"),
+            (["branches", "--alpha", "14"], "MAX_DIM"),
+            (["sweep", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
+            (["wigner", f"--grid=-6,6,-6,6,{cli.MAX_GRID_POINTS + 1},1"], "MAX_GRID_POINTS"),
+            (["wigner", f"--grid=-6,6,-6,6,1,{cli.MAX_GRID_POINTS + 1}"], "MAX_GRID_POINTS"),
+        ],
+    )
+    def test_flag_above_bound(self, argv, bound, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert bound in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, bound",
+        [
+            ({"alpha_min": 0.1, "alpha_max": 14, "alpha_steps": 1}, "MAX_DIM"),
+            ({"alpha_steps": cli.MAX_SWEEP_POINTS // 2 + 1, "r_values": [0.1, 0.2]},
+             "MAX_SWEEP_POINTS"),
+        ],
+    )
+    def test_sweep_above_bound(self, values, bound, tmp_path, capsys, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("the sweep must not run")
+
+        monkeypatch.setattr(cli, "gain_fidelity_sweep", never_called)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert bound in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_grid_is_accepted(self, tmp_path):
+        grid = f"--grid=-6,6,-6,6,{cli.MAX_GRID_POINTS},1"
+        assert main(["wigner", grid, "--out", str(tmp_path)]) == EXIT_OK
+
+
 # Valid values are kept small so that every example runs in milliseconds.
 VALID_VALUES = {
     "alpha": st.one_of(st.floats(0.0, 1.0), st.lists(st.floats(-0.7, 0.7), min_size=2, max_size=2)),
@@ -297,9 +353,11 @@ VALID_VALUES = {
     "geff0_max": st.floats(1.01, 1.99),
     "geff0_step": st.floats(0.3, 1.0),
 }
-# wrong types, non-finite numbers and out-of-range values
+# wrong types, non-finite numbers, out-of-range values and sizes far past the
+# CLI bounds (a dimension, a derived dimension and a grid of 10^10 cells)
 BAD_VALUES = st.sampled_from(
-    [math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, "x", "", True, None, [], [1, 2, 3], {}]
+    [math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, "x", "", True, None, [], [1, 2, 3], {},
+     10**15, 1e6, "-6,6,-6,6,100000,100000"]
 )
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nlamp import (
@@ -92,6 +94,37 @@ class TestCompleteness:
     def test_branch_order_enumeration(self):
         branches, _ = enumerate_single_photon_branches(TABLE_CONFIG)
         assert [b.outcome for b in branches] == list(BRANCH_ORDER)
+
+
+# Readings of twelve photons or more carry at most 5.5e-12 of the probability
+# at |alpha| <= 1 and r <= 0.5, the most at the corner |alpha| = 1,
+# r1 = r2 = 0.5 (readings of ten or more carry 1.4e-9 there).
+READINGS = range(12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    amplitude=st.floats(0.0, 1.0),
+    phase=st.floats(-math.pi, math.pi),
+    rs=st.tuples(st.floats(0.05, 0.5), st.floats(0.05, 0.5), st.floats(0.05, 0.5)),
+)
+@example(amplitude=1.0, phase=0.0, rs=(0.5, 0.5, 0.5))
+def test_other_is_every_pattern_with_a_reading_above_one(amplitude, phase, rs):
+    cfg = SchemeConfig(amplitude * cmath.exp(1j * phase), *rs)
+    branches, other = enumerate_single_photon_branches(cfg)
+    # the clamp max(1 - total, 0) never fires
+    assert sum(b.probability for b in branches) <= 1.0 + 1e-12
+    expected = 0.0
+    first = coherent_state(cfg.alpha, cfg.effective_dim)
+    for n_qnd in READINGS:
+        second = kraus_step(first, cfg.r1, n_qnd)
+        for n_pd1 in READINGS:
+            third = kraus_step(second, cfg.r2, n_pd1, ancilla=n_qnd)
+            for n_pd2 in READINGS:
+                if max(n_qnd, n_pd1, n_pd2) > 1:
+                    out = kraus_step(third, cfg.r3, n_pd2)
+                    expected += np.vdot(out.amps, out.amps).real
+    assert abs(other - expected) < 1e-10
 
 
 class TestDegenerateInput:

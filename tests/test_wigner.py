@@ -9,7 +9,6 @@ from nlamp import (
     FockState,
     GridMismatchError,
     GridSpec,
-    TruncationError,
     coherent_state,
     expect_a_grid,
     export_grid,
@@ -83,14 +82,14 @@ class TestClosedFormGrids:
 
 class TestGeneralState:
     def test_matches_coherent_closed_form(self):
-        # the complex amplitude exercises the phases of the off-diagonal terms
-        for alpha, dim in ((0.5 + 0j, 30), (0.9 - 0.6j, 40)):
+        # complex amplitudes move the peak in p, which only the phase of psi carries
+        for alpha, dim in ((0.5 + 0j, 30), (0.9 - 0.6j, 40), (2.0, 61), (3 + 1j, 100)):
             grid = wigner_of_state(coherent_state(alpha, dim))
             np.testing.assert_allclose(grid.values, wigner_coherent(alpha).values, atol=1e-8)
 
     def test_matches_fock_closed_form(self):
-        # n = 59 in 60 levels is the top of the kernel's dimension cap
-        for n, dim in ((1, 10), (0, 60), (7, 60), (59, 60)):
+        # n = dim - 1 is the widest state a space holds
+        for n, dim in ((1, 10), (0, 60), (7, 60), (59, 60), (100, 101)):
             grid = wigner_of_state(fock_state(n, dim))
             np.testing.assert_allclose(grid.values, wigner_fock(n).values, atol=1e-8)
 
@@ -98,10 +97,6 @@ class TestGeneralState:
         rng = np.random.default_rng(21)
         state = random_contained_state(rng, 15)
         assert abs(integrate(wigner_of_state(state)) - 1.0) < 1e-6
-
-    def test_dimension_cap(self):
-        with pytest.raises(TruncationError):
-            wigner_of_state(fock_state(0, 61))
 
     def test_parity_identity_at_origin(self):
         rng = np.random.default_rng(22)
@@ -111,6 +106,29 @@ class TestGeneralState:
             i, j = grid.spec.n_x // 2, grid.spec.n_p // 2
             parity = float(np.sum((-1.0) ** np.arange(state.dim) * np.abs(state.amps) ** 2))
             assert abs(math.pi * grid.values[i, j] - parity) < 1e-8
+
+    def test_aliases_stay_beyond_the_reach(self):
+        # the grid spans past reach = sqrt(203) + 8 = 22.2; with a step twice
+        # as long, aliased copies of W would show wherever |p| > 8
+        spec = GridSpec(-25, 25, -25, 25, 101, 101)
+        grid = wigner_of_state(fock_state(100, 101), spec)
+        np.testing.assert_allclose(grid.values, wigner_fock(100, spec).values, atol=1e-8)
+
+    def test_wide_momentum_range(self):
+        # every column beyond the quadrature's reach is zero, so neither
+        # memory nor aliasing depends on how far the grid extends
+        spec = GridSpec(-4, 4, -1e6, 1e6, 41, 20_001)
+        grid = wigner_of_state(coherent_state(0.5j, 30), spec)
+        np.testing.assert_allclose(grid.values, wigner_coherent(0.5j, spec).values, atol=1e-12)
+
+    def test_beyond_gaussian_underflow(self):
+        # psi sits near x = 39.6, where e^{-x^2/2} underflows to zero; the
+        # recurrence carries the Gaussian as a separate scale
+        alpha = 28.0
+        centre = math.sqrt(2) * alpha
+        spec = GridSpec(centre - 4, centre + 4, -4, 4, 9, 9)
+        grid = wigner_of_state(coherent_state(alpha, 1100), spec)
+        np.testing.assert_allclose(grid.values, wigner_coherent(alpha, spec).values, atol=1e-12)
 
 
 class TestFidelityGrid:
@@ -172,6 +190,32 @@ class TestCsvRoundTrip:
         export_grid(wigner_coherent(0.0, spec), buffer)
         header = buffer.getvalue().splitlines()[0]
         assert header == "-2,2,-3,3,3,4"
+
+    def test_exported_bytes(self):
+        buffer = io.StringIO()
+        export_grid(wigner_fock(1, GridSpec(-0.25, 0.1, -1, 1, 2, 3)), buffer)
+        assert buffer.getvalue() == (
+            "-0.25,0.10000000000000001,-1,1,2,3\n"
+            "-0.25,-1,0.12375557225881574\n"
+            "-0.25,0,-0.26164640696575825\n"
+            "-0.25,1,0.12375557225881574\n"
+            "0.10000000000000001,-1,0.11825319197205574\n"
+            "0.10000000000000001,0,-0.30883979689903895\n"
+            "0.10000000000000001,1,0.11825319197205574\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,0,0.1"],
+            ["0,0,0.1"] * 10,
+            ["0,0,0.1"] * 8 + ["0,0,w"],
+        ],
+        ids=["missing-rows", "extra-row", "not-a-number"],
+    )
+    def test_malformed_file_is_rejected(self, rows):
+        with pytest.raises(ValueError):
+            import_grid(io.StringIO("\n".join(["-1,1,-1,1,3,3"] + rows) + "\n"))
 
     def test_reimported_grid_integrates_to_one(self, tmp_path):
         path = tmp_path / "grid.csv"
