@@ -25,7 +25,6 @@ from .errors import (
     GridMismatchError,
     InfeasibleError,
     NlampError,
-    NotConvergedError,
     TruncationError,
     ZeroNormError,
     ZeroProbabilityError,

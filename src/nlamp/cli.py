@@ -174,16 +174,21 @@ def _grid_spec(config: dict) -> GridSpec:
     parts = raw.split(",") if isinstance(raw, str) else raw
     if not isinstance(parts, list) or len(parts) != 6:
         raise ConfigError('grid must be "xmin,xmax,pmin,pmax,nx,np"')
-    try:
-        spec = GridSpec(*map(float, parts[:4]), *map(int, parts[4:]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad grid spec: {exc}")
-    if max(spec.n_x, spec.n_p) > MAX_GRID_POINTS:
+    if isinstance(raw, str):
+        try:
+            parts = [*map(float, parts[:4]), *map(int, parts[4:])]
+        except ValueError as exc:
+            raise ConfigError(f"bad grid spec: {exc}")
+    n_x, n_p = (_count(n, f"grid count {name}", 1) for n, name in zip(parts[4:], ("nx", "np")))
+    if max(n_x, n_p) > MAX_GRID_POINTS:
         raise ConfigError(
-            f"grid counts {spec.n_x}, {spec.n_p}: each must be at most "
+            f"grid counts {n_x}, {n_p}: each must be at most "
             f"MAX_GRID_POINTS = {MAX_GRID_POINTS}"
         )
-    return spec
+    try:
+        return GridSpec(*map(float, parts[:4]), n_x, n_p)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad grid spec: {exc}")
 
 
 def _out_dir(config: dict) -> Path:
@@ -230,6 +235,10 @@ def cmd_table1(config: dict) -> int:
 def cmd_sweep(config: dict) -> int:
     alpha_min = _number(config["alpha_min"], "alpha_min")
     alpha_max = _number(config["alpha_max"], "alpha_max")
+    if min(alpha_min, alpha_max) < 0:
+        raise ConfigError(
+            f"alpha_min and alpha_max are magnitudes |alpha| >= 0, got {alpha_min}, {alpha_max}"
+        )
     steps = _count(config["alpha_steps"], "alpha_steps", 1)
     if not isinstance(config["r_values"], list) or not config["r_values"]:
         raise ConfigError(f"r_values must be a non-empty list, got {config['r_values']!r}")
@@ -241,7 +250,7 @@ def cmd_sweep(config: dict) -> int:
             f"alpha_steps * len(r_values) is {steps * len(r_values)}, "
             f"above MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
         )
-    dim = _dim(config, max(abs(alpha_min), abs(alpha_max)))
+    dim = _dim(config, max(alpha_min, alpha_max))
     out = _out_dir(config)
     rows = gain_fidelity_sweep(np.linspace(alpha_min, alpha_max, steps), r_values, dim=dim)
     path = out / "sweep.csv"

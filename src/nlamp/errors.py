@@ -31,7 +31,3 @@ class BoundaryMassError(NlampError):
 
 class InfeasibleError(NlampError):
     """No point of the search box satisfies the optimization constraint."""
-
-
-class NotConvergedError(NlampError):
-    """Optimizer terminated without meeting its convergence tolerance."""

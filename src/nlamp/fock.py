@@ -4,6 +4,10 @@ States are plain complex amplitude vectors indexed by photon number.
 Conditioning operations elsewhere in the package rely on unnormalized
 intermediate states, so the ladder operators here do not renormalize;
 squared norms carry the probability bookkeeping.
+
+Coherent states are built as blocks (`coherent_block`), one state per row,
+each by a cumulative product, truncated, renormalized and tail-checked on
+its own; `coherent_state` is the one-row case.
 """
 
 from __future__ import annotations
@@ -51,27 +55,44 @@ def default_dim(alpha: complex) -> int:
     return max(20, math.ceil(a * a + 8.0 * a + 12.0))
 
 
+def coherent_block(alphas, dims) -> np.ndarray:
+    """Coherent states |alpha⟩ for every entry of `alphas`, along a new last axis.
+
+    `dims` broadcasts against `alphas` and gives each state's truncation;
+    the result has shape alphas.shape + (max(dims),).  Amplitudes follow
+    c_n = c_{n-1} alpha / sqrt(n) from c_0 = e^{-|alpha|²/2}, one cumulative
+    product per row, so every c_n stays finite and carries its phase.  Each
+    state is zero above its own dimension and renormalized over its own
+    levels.  If the discarded tail mass of any state exceeds TAIL_TOLERANCE,
+    a TruncationError names the largest.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    dims = np.asarray(dims)
+    if dims.min(initial=1) < 1:
+        raise ValueError("dim must be >= 1")
+    n = np.arange(dims.max(initial=1))
+    factors = alphas[..., None] / np.sqrt(np.maximum(n, 1))
+    factors[..., 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
+    amps = np.cumprod(factors, axis=-1)
+    amps *= n < dims[..., None]
+    mass = np.vecdot(amps, amps).real
+    tail = 1.0 - mass
+    if tail.max(initial=0.0) > TAIL_TOLERANCE:
+        worst = np.unravel_index(np.argmax(tail), tail.shape)
+        raise TruncationError(
+            f"coherent tail mass {tail[worst]:.3e} above {TAIL_TOLERANCE:.0e} "
+            f"at dim={np.broadcast_to(dims, tail.shape)[worst]}"
+        )
+    return amps / np.sqrt(mass)[..., None]
+
+
 def coherent_state(alpha: complex, dim: int) -> FockState:
     """Coherent state |alpha⟩ truncated to `dim` levels and renormalized.
 
-    Amplitudes follow c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), built by
-    recurrence to stay finite at large n.  Raises TruncationError if the
+    The one-row case of `coherent_block`: raises TruncationError if the
     discarded tail mass exceeds TAIL_TOLERANCE.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    amps = np.zeros(dim, dtype=complex)
-    c = math.exp(-0.5 * abs(alpha) ** 2)
-    amps[0] = c
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    mass = float(np.sum(np.abs(amps) ** 2))
-    tail = 1.0 - mass
-    if tail > TAIL_TOLERANCE:
-        raise TruncationError(
-            f"coherent tail mass {tail:.3e} above {TAIL_TOLERANCE:.0e} at dim={dim}"
-        )
-    return FockState(amps / math.sqrt(mass))
+    return FockState(coherent_block(alpha, dim))
 
 
 def fock_state(n: int, dim: int) -> FockState:

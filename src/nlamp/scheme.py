@@ -13,6 +13,17 @@ signal (`kraus_step`); no two-mode state is ever formed.  A branch is three
 such steps, and its probability is the squared norm of the unnormalized
 result.
 
+The steps act on blocks of states: an array of shape (B, dim) whose rows
+are amplitude vectors, each zero above its own truncation.  K_k(n) is a sum
+of at most min(k, n) + 1 shifted diagonals whose coefficients are computed
+once per step and multiply all B rows at once, and the output metrics
+(probability, ⟨a⟩, gain, fidelities) are array operations over the rows.
+`run_branch` is the block of one row; `enumerate_single_photon_branches`
+shares the steps of common reading prefixes among its eight patterns; and
+`gain_fidelity_sweep` pushes all magnitudes of one reflectivity through in
+blocks of at most 64 rows.  The block size bounds the sweep's memory; its
+time still grows with the number of points and their dimensions.
+
 Every outcome pattern with readings 0 or 1 is enumerated; patterns where
 some detector sees more than one photon are aggregated into a single
 remainder probability.
@@ -47,6 +58,19 @@ BRANCH_ORDER: tuple[tuple[int, int, int], ...] = (
 SUCCESS_OUTCOME = (1, 0, 1)
 
 
+def _check_reflectivity(r: float) -> None:
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"reflectivity must be in [0, 1), got {r}")
+
+
+def _effective_dim(alpha_abs: float, dim: int | None) -> int:
+    if dim is not None:
+        return dim
+    # floor of 30 keeps every reported table number stable under doubling;
+    # sized for 2*alpha so the ideal-amplification comparison state fits
+    return max(30, fock.default_dim(2.0 * alpha_abs))
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Input amplitude, splitter reflectivities, truncation and efficiencies."""
@@ -62,8 +86,7 @@ class SchemeConfig:
         if not math.isfinite(abs(self.alpha)):
             raise ValueError(f"input amplitude must be finite, got {self.alpha}")
         for r in (self.r1, self.r2, self.r3):
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"reflectivity must be in [0, 1), got {r}")
+            _check_reflectivity(r)
         for eta in self.etas:
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"detector efficiency must be in [0, 1], got {eta}")
@@ -76,11 +99,7 @@ class SchemeConfig:
 
     @property
     def effective_dim(self) -> int:
-        if self.dim is not None:
-            return self.dim
-        # floor of 30 keeps every reported table number stable under doubling;
-        # sized for 2*alpha so the ideal-amplification comparison state fits
-        return max(30, fock.default_dim(2.0 * self.alpha))
+        return _effective_dim(abs(self.alpha), self.dim)
 
 
 @dataclass(frozen=True)
@@ -105,6 +124,38 @@ class BranchResult:
         return self.output is not None
 
 
+def _kraus(amps: np.ndarray, r: float, n: int, ancilla: int) -> np.ndarray:
+    """K_k(n) on the last axis of an amplitude block (..., dim) -> (..., dim + k).
+
+    K_k(n) is a sum of min(k, n) + 1 shifted diagonals.  Each diagonal's
+    coefficients are computed once, in log space so no factorial overflows,
+    and multiply every row of the block at once.
+    """
+    t = math.sqrt(1.0 - r * r)
+    dim = amps.shape[-1]
+    out = np.zeros(amps.shape[:-1] + (dim + ancilla,), dtype=complex)
+    log_factorial = gammaln(np.arange(max(dim, n) + ancilla + 2))
+    for j in range(min(ancilla, n) + 1):
+        lowered, raised = n - j, ancilla - j
+        size = max(dim - lowered, 0)
+        # K₀(n−j) sends |m+n−j⟩ to rⁿ⁻ʲ tᵐ √C(m+n−j, m) |m⟩, then a†^{k−j} adds
+        # √((m+k−j)!/m!)
+        log_amp = (
+            0.5 * (
+                log_factorial[lowered + 1 : lowered + 1 + size]
+                - log_factorial[lowered + 1]
+                + log_factorial[raised + 1 : raised + 1 + size]
+            )
+            - log_factorial[1 : size + 1]
+            + xlogy(lowered, r)
+            + np.arange(size) * math.log(t)
+        )
+        weight = math.comb(ancilla, j) * t**j * (-r) ** raised
+        weight *= math.sqrt(math.perm(n, j) / math.factorial(ancilla))
+        out[..., raised : raised + size] += (weight * np.exp(log_amp)) * amps[..., lowered:]
+    return out
+
+
 def kraus_step(state: FockState, r: float, n: int, ancilla: int = 0) -> FockState:
     """Unnormalized signal ⟨n|₂ U(r) |state⟩₁|ancilla⟩₂ after one splitter.
 
@@ -114,26 +165,101 @@ def kraus_step(state: FockState, r: float, n: int, ancilla: int = 0) -> FockStat
     ancilla photons it is K_k(n) = (1/√k!) Σ_{j ≤ min(k, n)} C(k, j) tʲ
     (−r)^{k−j} √(n!/(n−j)!) a†^{k−j} K₀(n−j), whose output has dim + k
     levels, so no amplitude is lost.  The squared norm of the result is the
-    outcome probability times the squared norm of `state`.
+    outcome probability times the squared norm of `state`.  This is the
+    one-row case of the block kernel the branch functions use.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1), got {r}")
+    _check_reflectivity(r)
     if n < 0 or ancilla < 0:
         raise ValueError("photon numbers must be non-negative")
-    t = math.sqrt(1.0 - r * r)
-    out = np.zeros(state.dim + ancilla, dtype=complex)
-    for j in range(min(ancilla, n) + 1):
-        lowered, raised = n - j, ancilla - j
-        m = np.arange(max(state.dim - lowered, 0))
-        # K₀(n−j) sends |m+n−j⟩ to rⁿ⁻ʲ tᵐ √C(m+n−j, m) |m⟩, then a†^{k−j} adds
-        # √((m+k−j)!/m!); summed in log space so no factorial overflows
-        log_amp = 0.5 * (
-            gammaln(m + lowered + 1) - gammaln(lowered + 1) + gammaln(m + raised + 1)
-        ) - gammaln(m + 1) + xlogy(lowered, r) + xlogy(m, t)
-        weight = math.comb(ancilla, j) * t**j * (-r) ** raised
-        weight *= math.sqrt(math.perm(n, j) / math.factorial(ancilla))
-        out[raised : raised + m.size] += weight * np.exp(log_amp) * state.amps[lowered:]
-    return FockState(out)
+    return FockState(_kraus(state.amps, r, n, ancilla))
+
+
+_METRICS = ("mean_a_abs", "g_eff", "fidelity_eff", "fidelity_energy", "fidelity_ideal")
+
+
+def _branch_metrics(alphas: np.ndarray, block: np.ndarray, out_dims: np.ndarray) -> dict:
+    """Probability, normalized output and metrics of every row of a branch block.
+
+    Row b of `block` is the unnormalized output for input amplitude
+    alphas[b], zero above out_dims[b] levels.  Every field is an array over
+    the rows.  Rows below probability 1e-300 get probability 0 and NaN
+    metrics, and rows with alpha = 0 NaN gain and fidelities.
+    """
+    probability = np.vecdot(block, block).real
+    defined = probability >= 1e-300
+    probability[~defined] = 0.0
+    output = block / np.sqrt(np.where(defined, probability, 1.0))[:, None]
+    levels = np.arange(output.shape[-1])
+    mean_a_abs = np.abs(np.vecdot(output[:, :-1], np.sqrt(levels[1:]) * output[:, 1:]))
+    metrics = np.full((len(_METRICS), alphas.size), np.nan)
+    metrics[0, defined] = mean_a_abs[defined]
+
+    rows = np.flatnonzero(defined & (alphas != 0))
+    alpha, psi = alphas[rows], output[rows]
+    alpha_abs = np.abs(alpha)
+    g_eff = mean_a_abs[rows] / alpha_abs
+    mean_n = np.vecdot(psi, levels * psi).real
+    # real and imaginary parts apart: numpy's complex division overflows
+    # for subnormal |alpha|
+    phase = alpha.real / alpha_abs + 1j * (alpha.imag / alpha_abs)
+    # the comparison coherent states need room for their own amplitude; the
+    # three of every row are built as one block
+    target_dims = [max(d, fock.default_dim(2.0 * a)) for d, a in zip(out_dims[rows], alpha_abs)]
+    betas = np.stack([g_eff * alpha, np.sqrt(mean_n) * phase, 2.0 * alpha])
+    targets = fock.coherent_block(betas, target_dims)
+    width = min(targets.shape[-1], psi.shape[-1])
+    overlaps = np.vecdot(targets[..., :width], psi[:, :width])
+    metrics[1, rows] = g_eff
+    metrics[2:, rows] = overlaps.real**2 + overlaps.imag**2
+    return {
+        "probability": probability,
+        "output": output,
+        "defined": defined,
+        **dict(zip(_METRICS, metrics)),
+    }
+
+
+def _branch_results(cfg: SchemeConfig, outcomes, block: np.ndarray) -> list[BranchResult]:
+    """BranchResult for each row of a branch block, all rows from `cfg`'s input."""
+    out_dims = np.array([cfg.effective_dim + outcome[0] for outcome in outcomes])
+    alphas = np.full(len(outcomes), complex(cfg.alpha))
+    m = _branch_metrics(alphas, block, out_dims)
+    nan = float("nan")
+    results = []
+    for b, outcome in enumerate(outcomes):
+        if not m["defined"][b]:
+            results.append(BranchResult(outcome, 0.0, None, nan, nan, nan, nan, nan))
+            continue
+        results.append(
+            BranchResult(
+                outcome=outcome,
+                probability=detector_adjusted(float(m["probability"][b]), *cfg.etas),
+                output=FockState(m["output"][b, : out_dims[b]]),
+                mean_a_abs=float(m["mean_a_abs"][b]),
+                g_eff=float(m["g_eff"][b]),
+                fidelity_eff=float(m["fidelity_eff"][b]),
+                fidelity_energy=float(m["fidelity_energy"][b]),
+                fidelity_ideal=float(m["fidelity_ideal"][b]),
+            )
+        )
+    return results
+
+
+def _propagate(amps: np.ndarray, rs, outcomes) -> list[np.ndarray]:
+    """The three Kraus steps of each detection pattern on a block of input states.
+
+    Returns one output block per pattern in `outcomes`; patterns that begin
+    with the same readings share the steps for those readings.
+    """
+    states = {(): amps}
+    for stage in range(3):
+        prefixes = dict.fromkeys(outcome[: stage + 1] for outcome in outcomes)
+        # the photons counted nondestructively are added back at splitter 2
+        states = {
+            p: _kraus(states[p[:-1]], rs[stage], p[-1], p[0] if stage == 1 else 0)
+            for p in prefixes
+        }
+    return [states[outcome] for outcome in outcomes]
 
 
 def run_branch(cfg: SchemeConfig, outcome: tuple[int, int, int]) -> BranchResult:
@@ -146,52 +272,14 @@ def run_branch(cfg: SchemeConfig, outcome: tuple[int, int, int]) -> BranchResult
     a coherent state of amplitude g_eff * alpha (input phase preserved),
     fidelity_energy against the coherent state with the same mean photon
     number (the convention the published branch table follows), and
-    fidelity_ideal against |2 alpha⟩.
+    fidelity_ideal against |2 alpha⟩.  The output has effective_dim + n_qnd
+    levels, and each comparison state max(that, default_dim(2 alpha)).
     """
-    if max(outcome) >= cfg.effective_dim:
-        raise ValueError("detector reading exceeds truncation dimension")
-    n_qnd, n_pd1, n_pd2 = outcome
-    state = kraus_step(coherent_state(cfg.alpha, cfg.effective_dim), cfg.r1, n_qnd)
-    # the photons counted nondestructively are added back at splitter 2
-    state = kraus_step(state, cfg.r2, n_pd1, ancilla=n_qnd)
-    state = kraus_step(state, cfg.r3, n_pd2)
-    nan = float("nan")
-    probability = float(np.vdot(state.amps, state.amps).real)
-    if probability < 1e-300:
-        return BranchResult(outcome, 0.0, None, nan, nan, nan, nan, nan)
-    output = FockState(state.amps / math.sqrt(probability))
-    probability = detector_adjusted(probability, *cfg.etas)
-
-    m = metrics(output)
-    mean_a_abs = abs(m.mean_a)
-    alpha_abs = abs(cfg.alpha)
-    if alpha_abs > 0:
-        phase = cfg.alpha / alpha_abs
-        g_eff = mean_a_abs / alpha_abs
-        # the comparison coherent states need room for their own amplitude
-        target_dim = max(output.dim, fock.default_dim(2.0 * cfg.alpha))
-        padded = fock.pad(output, target_dim)
-        target_eff = coherent_state(g_eff * cfg.alpha, target_dim)
-        target_energy = coherent_state(math.sqrt(m.mean_n) * phase, target_dim)
-        target_ideal = coherent_state(2.0 * cfg.alpha, target_dim)
-        fidelity_eff = abs(inner_product(target_eff, padded)) ** 2
-        fidelity_energy = abs(inner_product(target_energy, padded)) ** 2
-        fidelity_ideal = abs(inner_product(target_ideal, padded)) ** 2
-    else:
-        g_eff = nan
-        fidelity_eff = nan
-        fidelity_energy = nan
-        fidelity_ideal = nan
-    return BranchResult(
-        outcome=outcome,
-        probability=probability,
-        output=output,
-        mean_a_abs=mean_a_abs,
-        g_eff=g_eff,
-        fidelity_eff=fidelity_eff,
-        fidelity_energy=fidelity_energy,
-        fidelity_ideal=fidelity_ideal,
-    )
+    if min(outcome) < 0 or max(outcome) >= cfg.effective_dim:
+        raise ValueError("detector readings must lie in [0, effective_dim)")
+    psi = fock.coherent_block([cfg.alpha], cfg.effective_dim)
+    [block] = _propagate(psi, (cfg.r1, cfg.r2, cfg.r3), [outcome])
+    return _branch_results(cfg, [outcome], block)[0]
 
 
 def enumerate_single_photon_branches(
@@ -199,11 +287,18 @@ def enumerate_single_photon_branches(
 ) -> tuple[list[BranchResult], float]:
     """All eight 0/1 detection patterns plus the aggregated remainder.
 
-    The remainder is the probability that some detector saw more than one
-    photon; with ideal detectors the eight branches and the remainder sum
-    to one.
+    The input state is built once and each stage prefix once (2, then 4,
+    then 8 states), and the eight outputs' metrics are computed as one
+    block.  The remainder is the probability that some detector saw more
+    than one photon; with ideal detectors the eight branches and the
+    remainder sum to one.
     """
-    branches = [run_branch(cfg, outcome) for outcome in BRANCH_ORDER]
+    dim = cfg.effective_dim
+    psi = fock.coherent_block([cfg.alpha], dim)
+    block = np.zeros((len(BRANCH_ORDER), dim + 1), dtype=complex)
+    for row, out in zip(block, _propagate(psi, (cfg.r1, cfg.r2, cfg.r3), BRANCH_ORDER)):
+        row[: out.shape[-1]] = out[0]
+    branches = _branch_results(cfg, BRANCH_ORDER, block)
     total = sum(b.probability for b in branches)
     return branches, max(1.0 - total, 0.0)
 
@@ -231,26 +326,56 @@ class SweepRow:
     p_succ: float
 
 
+# Rows propagated together in gain_fidelity_sweep: peak memory is about
+# _SWEEP_BLOCK * dim * 16 bytes per temporary array, whatever the sweep size.
+_SWEEP_BLOCK = 64
+
+
 def gain_fidelity_sweep(
     alpha_values, r_values, dim: int | None = None
 ) -> list[SweepRow]:
-    """Success-branch gain, fidelities and probability over an (alpha, r) grid."""
-    rows = []
+    """Success-branch gain, fidelities and probability over an (alpha, r) grid.
+
+    Rows run over r outer, |alpha| inner, and equal `run_branch` on
+    `SchemeConfig.symmetric(alpha, r, dim=dim)` point by point up to
+    rounding.  The magnitudes go through the Kraus steps in blocks of up to
+    _SWEEP_BLOCK rows, each row zero-padded to the widest in its block, so
+    each step is a few vectorized passes per block and memory stays bounded
+    whatever the sweep size.  Each input block is built once and shared by
+    every r.
+    """
+    alphas = np.asarray(alpha_values)
+    if np.iscomplexobj(alphas):
+        raise ValueError("|alpha| values must be real magnitudes")
+    alphas = alphas.astype(float)
+    bad = alphas[~(np.isfinite(alphas) & (alphas >= 0))]
+    if bad.size:
+        raise ValueError(f"|alpha| values must be finite and non-negative, got {bad[0]}")
+    r_values = [float(r) for r in r_values]
     for r in r_values:
-        for alpha_abs in alpha_values:
-            cfg = SchemeConfig.symmetric(complex(alpha_abs), r, dim=dim)
-            branch = run_branch(cfg, SUCCESS_OUTCOME)
-            rows.append(
-                SweepRow(
-                    alpha_abs=float(alpha_abs),
-                    r=float(r),
-                    g_eff=branch.g_eff,
-                    f_eff=branch.fidelity_eff,
-                    f_ideal=branch.fidelity_ideal,
-                    p_succ=branch.probability,
+        _check_reflectivity(r)
+    if dim is not None and dim < 2:
+        raise ValueError("dim must be at least 2")
+    dims = np.array([_effective_dim(a, dim) for a in alphas], dtype=int)
+    columns = [[] for _ in r_values]
+    for start in range(0, alphas.size, _SWEEP_BLOCK):
+        chunk = slice(start, start + _SWEEP_BLOCK)
+        chunk_alphas = alphas[chunk].astype(complex)
+        psi = fock.coherent_block(chunk_alphas, dims[chunk])
+        for column, r in zip(columns, r_values):
+            [block] = _propagate(psi, (r, r, r), [SUCCESS_OUTCOME])
+            m = _branch_metrics(chunk_alphas, block, dims[chunk] + SUCCESS_OUTCOME[0])
+            column.extend(
+                SweepRow(alpha_abs, r, g_eff, f_eff, f_ideal, p_succ)
+                for alpha_abs, g_eff, f_eff, f_ideal, p_succ in zip(
+                    alphas[chunk].tolist(),
+                    m["g_eff"].tolist(),
+                    m["fidelity_eff"].tolist(),
+                    m["fidelity_ideal"].tolist(),
+                    m["probability"].tolist(),
                 )
             )
-    return rows
+    return [row for column in columns for row in column]
 
 
 def operator_oracle(cfg: SchemeConfig) -> FockState:

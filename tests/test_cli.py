@@ -271,6 +271,11 @@ class TestMalformedValues:
             ("sweep", {"dim": 1}),
             ("optimize", {"geff0_step": "x"}),
             ("sweep", {"alpha_steps": "x"}),
+            # sweep amplitudes are magnitudes
+            ("sweep", {"alpha_min": -0.5, "alpha_max": 0.5, "alpha_steps": 3, "r_values": [0.3]}),
+            # a grid count must be an integer in the list form as in the string form
+            ("wigner", {"grid": [-4, 4, -4, 4, 3.7, 7], "branch": "input"}),
+            ("wigner", {"grid": "-4,4,-4,4,3.7,7", "branch": "input"}),
         ],
     )
     def test_bad_config_value(self, command, values, tmp_path, capsys):

@@ -17,6 +17,7 @@ from nlamp import (
     metrics,
     normalized,
 )
+from nlamp.fock import coherent_block
 
 
 class TestCoherentState:
@@ -52,6 +53,48 @@ class TestCoherentState:
                 c *= abs(alpha) / math.sqrt(n)
                 mass += c * c
             assert 1.0 - mass < 1e-14
+
+
+def recurrence_coherent(alpha, dim):
+    """c_n = c_(n-1) alpha / sqrt(n) from c_0 = exp(-|alpha|^2 / 2), renormalized."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    return amps / np.linalg.norm(amps)
+
+
+class TestCoherentBlock:
+    def test_matches_recurrence(self):
+        # up to 2 * 13.8, the |2 alpha> comparison state at the largest |alpha|
+        # the CLI's dimension bound admits; a log-space form of c_n drifts to
+        # 1e-14 at 13.8
+        for alpha in (0.0, 0.3, 1.0 + 0.5j, -0.7 + 0.2j, -2.0, 3j, 5.0, 13.8, 8.28 - 11.04j, 27.6):
+            dim = max(30, default_dim(alpha))
+            np.testing.assert_allclose(
+                coherent_state(alpha, dim).amps,
+                recurrence_coherent(alpha, dim),
+                rtol=0,
+                atol=1e-15,
+            )
+
+    def test_rows_are_one_row_states_zero_padded(self):
+        alphas = np.array([[0.5, 1.0 - 0.4j, 0.0], [2.0, -0.3j, 1.2]])
+        dims = np.array([[30, 16, 5], [40, 20, 25]])
+        block = coherent_block(alphas, dims)
+        assert block.shape == (2, 3, 40)
+        for index in np.ndindex(alphas.shape):
+            dim = dims[index]
+            np.testing.assert_array_equal(block[index][dim:], 0)
+            np.testing.assert_allclose(
+                block[index][:dim], coherent_state(alphas[index], dim).amps, rtol=0, atol=1e-15
+            )
+
+    def test_each_row_has_its_own_tail_check(self):
+        # |2.0> fits in 40 levels but not in 5, whatever its neighbours are
+        coherent_block([0.1, 2.0], [5, 40])
+        with pytest.raises(TruncationError, match="dim=5"):
+            coherent_block([0.1, 2.0, 0.3], [5, 5, 40])
 
 
 class TestFockState:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,79 @@ class TestSweepTrends:
         rows = gain_fidelity_sweep([0.2, 0.4], [0.1, 0.3, 0.5])
         assert len(rows) == 6
         assert [row.r for row in rows[:2]] == [0.1, 0.1]
+
+
+def assert_same_metric(got, want, label):
+    if math.isnan(want):
+        assert math.isnan(got), label
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), label
+
+
+class TestBlockPropagation:
+    """The batched paths equal the one-row path row by row, up to rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alphas=st.lists(st.floats(0.0, 1.5), max_size=8).flatmap(
+            lambda values: st.permutations(values + [0.0])
+        ),
+        r=st.floats(0.0, 0.9, exclude_max=True),
+        dim=st.one_of(st.none(), st.integers(24, 40)),
+    )
+    # a magnitude whose success probability is positive but below 1e-300
+    @example(alphas=[1e-155, 0.0], r=0.5, dim=None)
+    def test_sweep_rows_equal_run_branch(self, alphas, r, dim):
+        rows = gain_fidelity_sweep(alphas, [r], dim=dim)
+        assert [(row.alpha_abs, row.r) for row in rows] == [(a, r) for a in alphas]
+        for alpha, row in zip(alphas, rows):
+            cfg = SchemeConfig.symmetric(complex(alpha), r, dim=dim)
+            branch = run_branch(cfg, SUCCESS_OUTCOME)
+            assert_same_metric(row.p_succ, branch.probability, "P")
+            assert_same_metric(row.g_eff, branch.g_eff, "g_eff")
+            assert_same_metric(row.f_eff, branch.fidelity_eff, "F_eff")
+            assert_same_metric(row.f_ideal, branch.fidelity_ideal, "F_ideal")
+            if alpha == 0.0:
+                assert row.p_succ == 0.0
+                assert math.isnan(row.g_eff)
+                assert math.isnan(row.f_eff)
+                assert math.isnan(row.f_ideal)
+
+    def test_enumerated_outputs_equal_run_branch(self):
+        rng = np.random.default_rng(41)
+        for dim in (None, None, 26, 40):
+            alpha = complex(*rng.uniform(-1.0, 1.0, size=2))
+            rs = rng.uniform(0.05, 0.8, size=3)
+            cfg = SchemeConfig(alpha, *rs, dim=dim, etas=(0.9, 0.8, 0.95))
+            branches, _ = enumerate_single_photon_branches(cfg)
+            for branch in branches:
+                single = run_branch(cfg, branch.outcome)
+                assert branch.output.dim == cfg.effective_dim + branch.outcome[0]
+                assert single.output.dim == branch.output.dim
+                np.testing.assert_allclose(
+                    branch.output.amps, single.output.amps, rtol=0, atol=1e-13
+                )
+                for name in ("probability", "mean_a_abs", "g_eff", "fidelity_eff",
+                             "fidelity_energy", "fidelity_ideal"):
+                    assert_same_metric(getattr(branch, name), getattr(single, name), name)
+
+    def test_sweep_memory_does_not_grow_with_points(self):
+        # 2 000 points up to the largest amplitude the CLI admits (dim ~ 1000):
+        # about 11 MB in blocks of 64 rows, about 170 MB as one block per r
+        alphas = np.linspace(0.0, 13.8, 1000)
+        tracemalloc.start()
+        try:
+            rows = gain_fidelity_sweep(alphas, [0.1, 0.4])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2000
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf, 0.5 + 0.1j])
+    def test_sweep_rejects_a_value_that_is_not_a_magnitude(self, alpha):
+        with pytest.raises(ValueError):
+            gain_fidelity_sweep([0.5, alpha], [0.3])
 
 
 class TestNumericalStability:
