@@ -41,7 +41,6 @@ from .fock import (
     metrics,
     normalized,
     pad,
-    vacuum,
 )
 from .optimize import (
     OptProblem,

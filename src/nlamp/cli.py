@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import astuple
 from decimal import Decimal
 from pathlib import Path
 
@@ -84,6 +85,8 @@ class ConfigError(Exception):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -200,39 +203,34 @@ def _out_dir(config: dict) -> Path:
     return out
 
 
+def _write_csv(out: Path, name: str, header: list[str], rows) -> None:
+    """Write out/name as CSV, every cell through _fmt, and print its path."""
+    path = out / name
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+    print(path)
+
+
 def cmd_table1(config: dict) -> int:
+    """write the branch table as table1.csv"""
     cfg = _scheme_config(config)
     out = _out_dir(config)
     branches, other = enumerate_single_photon_branches(cfg)
-    path = out / "table1.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["state", "n_qnd", "n_pd1", "n_pd2", "abs_mean_a", "one_minus_F", "P"]
-        )
-        for index, branch in enumerate(branches, start=1):
-            if branch.defined:
-                mean_a = _fmt(branch.mean_a_abs)
-                one_minus_f = _fmt(1.0 - branch.fidelity_energy)
-            else:
-                mean_a = one_minus_f = "nan"
-            writer.writerow(
-                [
-                    index,
-                    branch.outcome[0],
-                    branch.outcome[1],
-                    branch.outcome[2],
-                    mean_a,
-                    one_minus_f,
-                    _fmt(branch.probability),
-                ]
-            )
-        writer.writerow(["other", "", "", "", "", "", _fmt(other)])
-    print(path)
+    # an undefined branch's metrics are NaN and are written as nan
+    rows = [
+        [index, *b.outcome, b.mean_a_abs, 1.0 - b.fidelity_energy, b.probability]
+        for index, b in enumerate(branches, start=1)
+    ]
+    rows.append(["other", "", "", "", "", "", other])
+    header = ["state", "n_qnd", "n_pd1", "n_pd2", "abs_mean_a", "one_minus_F", "P"]
+    _write_csv(out, "table1.csv", header, rows)
     return EXIT_OK
 
 
 def cmd_sweep(config: dict) -> int:
+    """write success-branch gain/fidelity curves as sweep.csv"""
     alpha_min = _number(config["alpha_min"], "alpha_min")
     alpha_max = _number(config["alpha_max"], "alpha_max")
     if min(alpha_min, alpha_max) < 0:
@@ -253,22 +251,8 @@ def cmd_sweep(config: dict) -> int:
     dim = _dim(config, max(alpha_min, alpha_max))
     out = _out_dir(config)
     rows = gain_fidelity_sweep(np.linspace(alpha_min, alpha_max, steps), r_values, dim=dim)
-    path = out / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["alpha_abs", "r", "g_eff", "F_eff", "F_ideal", "P_succ"])
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.alpha_abs),
-                    _fmt(row.r),
-                    _fmt(row.g_eff),
-                    _fmt(row.f_eff),
-                    _fmt(row.f_ideal),
-                    _fmt(row.p_succ),
-                ]
-            )
-    print(path)
+    header = ["alpha_abs", "r", "g_eff", "F_eff", "F_ideal", "P_succ"]
+    _write_csv(out, "sweep.csv", header, map(astuple, rows))
     return EXIT_OK
 
 
@@ -278,6 +262,7 @@ def _decimals(value: float) -> int:
 
 
 def cmd_optimize(config: dict) -> int:
+    """write gain-constrained optima as optimize.csv"""
     g_min = _number(config["geff0_min"], "geff0_min")
     g_max = _number(config["geff0_max"], "geff0_max")
     g_step = _number(config["geff0_step"], "geff0_step")
@@ -290,36 +275,20 @@ def cmd_optimize(config: dict) -> int:
     thresholds = [round(g_min + i * g_step, digits) for i in range(math.floor(intervals) + 1)]
     out = _out_dir(config)
     results = optimize_sweep([g for g in thresholds if g <= g_max])
-    path = out / "optimize.csv"
-    all_converged = True
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["g_eff0", "p_opt", "alpha_opt", "r_opt1", "r_opt2", "r_opt3", "f_opt", "converged"]
-        )
-        for g0, result in results:
-            if result is None:
-                writer.writerow([repr(g0), "", "", "", "", "", "", "false"])
-                all_converged = False
-                continue
-            all_converged = all_converged and result.converged
-            writer.writerow(
-                [
-                    repr(g0),
-                    _fmt(result.p_opt),
-                    _fmt(result.alpha_opt),
-                    _fmt(result.r_opt[0]),
-                    _fmt(result.r_opt[1]),
-                    _fmt(result.r_opt[2]),
-                    _fmt(result.f_opt),
-                    _fmt(result.converged),
-                ]
-            )
-    print(path)
-    return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
+    # an infeasible threshold has no result and a blank row
+    rows = [
+        [repr(g0), "", "", "", "", "", "", False] if result is None else
+        [repr(g0), result.p_opt, result.alpha_opt, *result.r_opt, result.f_opt, result.converged]
+        for g0, result in results
+    ]
+    header = ["g_eff0", "p_opt", "alpha_opt", "r_opt1", "r_opt2", "r_opt3", "f_opt", "converged"]
+    _write_csv(out, "optimize.csv", header, rows)
+    converged = all(result is not None and result.converged for _, result in results)
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def cmd_wigner(config: dict) -> int:
+    """write a phase-space grid CSV for a branch or the input"""
     cfg = _scheme_config(config)
     spec = _grid_spec(config)
     selector = str(config["branch"])
@@ -342,6 +311,7 @@ def cmd_wigner(config: dict) -> int:
 
 
 def cmd_branches(config: dict) -> int:
+    """dump all branch results as branches.json"""
     cfg = _scheme_config(config)
     out = _out_dir(config)
     branches, other = enumerate_single_photon_branches(cfg)
@@ -360,60 +330,23 @@ def cmd_branches(config: dict) -> int:
             "defined": branch.defined,
         }
         if branch.defined:
-            entry.update(
-                {
-                    "abs_mean_a": branch.mean_a_abs,
-                    "g_eff": branch.g_eff,
-                    "fidelity_eff": branch.fidelity_eff,
-                    "fidelity_energy": branch.fidelity_energy,
-                    "fidelity_ideal": branch.fidelity_ideal,
-                    "amps": [[a.real, a.imag] for a in branch.output.amps],
-                }
-            )
+            metrics = {
+                "abs_mean_a": branch.mean_a_abs,
+                "g_eff": branch.g_eff,
+                "fidelity_eff": branch.fidelity_eff,
+                "fidelity_energy": branch.fidelity_energy,
+                "fidelity_ideal": branch.fidelity_ideal,
+            }
+            # gain and fidelities are NaN at alpha = 0, which JSON writes as null
+            entry.update({key: None if math.isnan(v) else v for key, v in metrics.items()})
+            entry["amps"] = [[a.real, a.imag] for a in branch.output.amps]
         payload["branches"].append(entry)
     path = out / "branches.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(path)
     return EXIT_OK
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand registers only the flags it reads, so others exit 2."""
-    parser = argparse.ArgumentParser(
-        prog="nlamp",
-        description="Heralded noiseless-amplifier simulator and analysis CLI",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "table1": "write the branch table as table1.csv",
-        "sweep": "write success-branch gain/fidelity curves as sweep.csv",
-        "optimize": "write gain-constrained optima as optimize.csv",
-        "wigner": "write a phase-space grid CSV for a branch or the input",
-        "branches": "dump all branch results as branches.json",
-    }
-    for name, help_text in commands.items():
-        reads = DEFAULTS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        if "alpha" in reads:
-            p.add_argument("--alpha", type=float, default=None, help="input amplitude")
-            p.add_argument("--r", type=float, default=None, help="shared reflectivity")
-            p.add_argument("--eta-qnd", dest="eta_qnd", type=float, default=None)
-            p.add_argument("--eta-pd1", dest="eta_pd1", type=float, default=None)
-            p.add_argument("--eta-pd2", dest="eta_pd2", type=float, default=None)
-        if "dim" in reads:
-            p.add_argument("--dim", type=int, default=None, help="truncation dimension")
-        if "geff0_min" in reads:
-            p.add_argument("--geff0-min", dest="geff0_min", type=float, default=None)
-            p.add_argument("--geff0-max", dest="geff0_max", type=float, default=None)
-            p.add_argument("--geff0-step", dest="geff0_step", type=float, default=None)
-        if "grid" in reads:
-            p.add_argument("--grid", type=str, default=None, help="xmin,xmax,pmin,pmax,nx,np")
-            p.add_argument("--branch", type=str, default=None, help="1..8 or 'input'")
-    return parser
 
 
 COMMANDS = {
@@ -423,6 +356,39 @@ COMMANDS = {
     "wigner": cmd_wigner,
     "branches": cmd_branches,
 }
+
+# The flag that sets each config key, with its type and help text.  A
+# subcommand registers the flags of the keys it reads in DEFAULTS, so any
+# other flag exits 2; "--r" sets r1, r2 and r3 at once.
+_FLAGS = {
+    "alpha": ("--alpha", float, "input amplitude"),
+    "r1": ("--r", float, "shared reflectivity"),
+    "eta_qnd": ("--eta-qnd", float, None),
+    "eta_pd1": ("--eta-pd1", float, None),
+    "eta_pd2": ("--eta-pd2", float, None),
+    "dim": ("--dim", int, "truncation dimension"),
+    "geff0_min": ("--geff0-min", float, None),
+    "geff0_max": ("--geff0-max", float, None),
+    "geff0_step": ("--geff0-step", float, None),
+    "grid": ("--grid", str, "xmin,xmax,pmin,pmax,nx,np"),
+    "branch": ("--branch", str, "1..8 or 'input'"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nlamp",
+        description="Heralded noiseless-amplifier simulator and analysis CLI",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        p.add_argument("--config", type=str, default=None, help="JSON config file")
+        p.add_argument("--out", type=str, default=None, help="output directory")
+        for key, (flag, kind, help_text) in _FLAGS.items():
+            if key in DEFAULTS[name]:
+                p.add_argument(flag, type=kind, default=None, help=help_text)
+    return parser
 
 
 def main(argv=None) -> int:

@@ -104,10 +104,6 @@ def fock_state(n: int, dim: int) -> FockState:
     return FockState(amps)
 
 
-def vacuum(dim: int = 1) -> FockState:
-    return fock_state(0, dim)
-
-
 def annihilate(state: FockState) -> FockState:
     """Apply a.  Output is unnormalized: out[n] = sqrt(n+1) * in[n+1]."""
     n = np.arange(1, state.dim)

@@ -19,7 +19,7 @@ four-dimensional problem reduces exactly to one dimension:
   D = 1 + 3x + x^2, so the gain at the peak is always below 1.  For every
   admissible threshold g0 > 1 the constraint thus binds before the peak,
   P increases over the feasible amplitudes, and the best feasible amplitude
-  is alpha*(r) = min(g^-1(g0; T), alpha_hi).
+  is alpha*(r) = min(g^-1(g0; T), alpha_hi), a root of a quadratic in x.
 
 What remains, maximizing P(alpha*(r), r) over the feasible reflectivities,
 is solved by a fixed coarse scan followed by a bounded Brent search between
@@ -119,7 +119,12 @@ class _Reduced:
             return None
         if self.slack(hi, t) >= 0.0:
             return hi
-        alpha = brentq(self.slack, lo, hi, args=(t,), xtol=1e-15)
+        # g = g0 is a x^2 + b x + c = 0 in x = (T alpha)^2 with a > 0 > c; its
+        # one positive root, in the form that does not cancel
+        a, b, c = self.g0 - t, 3.0 * self.g0 - 4.0 * t, self.g0 - 2.0 * t
+        root_d = math.sqrt(b * b - 4.0 * a * c)
+        x = -2.0 * c / (b + root_d) if b >= 0.0 else (root_d - b) / (2.0 * a)
+        alpha = min(max(math.sqrt(x) / t, lo), hi)
         # step back onto the feasible side of the computed root
         step = math.ulp(alpha)
         while alpha > lo and self.slack(alpha, t) < 0.0:

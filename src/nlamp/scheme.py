@@ -224,25 +224,16 @@ def _branch_results(cfg: SchemeConfig, outcomes, block: np.ndarray) -> list[Bran
     out_dims = np.array([cfg.effective_dim + outcome[0] for outcome in outcomes])
     alphas = np.full(len(outcomes), complex(cfg.alpha))
     m = _branch_metrics(alphas, block, out_dims)
-    nan = float("nan")
-    results = []
-    for b, outcome in enumerate(outcomes):
-        if not m["defined"][b]:
-            results.append(BranchResult(outcome, 0.0, None, nan, nan, nan, nan, nan))
-            continue
-        results.append(
-            BranchResult(
-                outcome=outcome,
-                probability=detector_adjusted(float(m["probability"][b]), *cfg.etas),
-                output=FockState(m["output"][b, : out_dims[b]]),
-                mean_a_abs=float(m["mean_a_abs"][b]),
-                g_eff=float(m["g_eff"][b]),
-                fidelity_eff=float(m["fidelity_eff"][b]),
-                fidelity_energy=float(m["fidelity_energy"][b]),
-                fidelity_ideal=float(m["fidelity_ideal"][b]),
-            )
+    # rows below the probability floor carry probability 0 and NaN metrics
+    return [
+        BranchResult(
+            outcome=outcome,
+            probability=detector_adjusted(float(m["probability"][b]), *cfg.etas),
+            output=FockState(m["output"][b, : out_dims[b]]) if m["defined"][b] else None,
+            **{name: float(m[name][b]) for name in _METRICS},
         )
-    return results
+        for b, outcome in enumerate(outcomes)
+    ]
 
 
 def _propagate(amps: np.ndarray, rs, outcomes) -> list[np.ndarray]:

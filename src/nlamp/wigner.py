@@ -64,10 +64,15 @@ def _mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(x, p, indexing="ij")
 
 
+def _integral(spec: GridSpec, values: np.ndarray):
+    """Trapezoid-rule integral of values over the grid, p inner and x outer."""
+    x, p = spec.axes()
+    return np.trapezoid(np.trapezoid(values, p, axis=1), x)
+
+
 def integrate(grid: WignerGrid) -> float:
     """Trapezoid-rule integral of W over the grid."""
-    x, p = grid.spec.axes()
-    return float(np.trapezoid(np.trapezoid(grid.values, p, axis=1), x))
+    return float(_integral(grid.spec, grid.values))
 
 
 def wigner_coherent(alpha: complex, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
@@ -155,9 +160,7 @@ def _check_same_grid(a: WignerGrid, b: WignerGrid):
 def fidelity_grid(w1: WignerGrid, w2: WignerGrid) -> float:
     """Overlap 2 pi ∬ W1 W2 dx dp; equals |⟨psi1|psi2⟩|^2 for pure states."""
     _check_same_grid(w1, w2)
-    x, p = w1.spec.axes()
-    inner = np.trapezoid(np.trapezoid(w1.values * w2.values, p, axis=1), x)
-    return float(2.0 * math.pi * inner)
+    return float(2.0 * math.pi * _integral(w1.spec, w1.values * w2.values))
 
 
 def _check_contained(grid: WignerGrid, tol: float = 1e-10):
@@ -180,9 +183,7 @@ def expect_a_grid(grid: WignerGrid) -> complex:
     """
     _check_contained(grid)
     xg, pg = _mesh(grid.spec)
-    x, p = grid.spec.axes()
-    integrand = (xg + 1j * pg) / math.sqrt(2) * grid.values
-    return complex(np.trapezoid(np.trapezoid(integrand, p, axis=1), x))
+    return complex(_integral(grid.spec, (xg + 1j * pg) / math.sqrt(2) * grid.values))
 
 
 def export_grid(grid: WignerGrid, destination) -> None:

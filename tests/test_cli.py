@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,23 @@ class TestBranchesJson:
         total = sum(b["probability"] for b in payload["branches"])
         assert total + payload["other_probability"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_vacuum_input_is_strict_json(self, tmp_path):
+        # gain and fidelities are undefined at alpha = 0; they must be null,
+        # not the NaN token that RFC 8259 does not allow
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        argv = ["branches", "--alpha", "0", "--dim", "8", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        with open(tmp_path / "branches.json") as fh:
+            payload = json.load(fh, parse_constant=reject)
+        vacuum_row = payload["branches"][-1]
+        assert vacuum_row["outcome"] == [0, 0, 0]
+        assert vacuum_row["probability"] == 1.0
+        assert vacuum_row["abs_mean_a"] == 0.0
+        assert vacuum_row["g_eff"] is None
+        assert vacuum_row["fidelity_ideal"] is None
+
 
 class TestOptimizeCommand:
     def test_single_threshold(self, tmp_path):
@@ -183,6 +201,16 @@ class TestOptimizeCommand:
         )
         assert code == EXIT_OK
         assert [row[0] for row in read_csv(tmp_path / "optimize.csv")[1:]] == ["1.05", "1.1"]
+
+    def test_infeasible_threshold_writes_a_blank_row(self, tmp_path):
+        # g0 just below 2 needs T > g0 / 2 at alpha_lo, beyond every r >= 1e-6
+        code = main(
+            ["optimize", "--geff0-min", "1.99999999", "--geff0-max", "1.99999999",
+             "--geff0-step", "0.1", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_NOT_CONVERGED
+        lines = (tmp_path / "optimize.csv").read_text().splitlines()
+        assert lines[1:] == ["1.99999999,,,,,,,false"]
 
     def test_threshold_list_size_is_limited(self, tmp_path, monkeypatch):
         def never_called(thresholds):
@@ -212,6 +240,27 @@ class TestUnusedFlags:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == EXIT_CONFIG
         assert not any(tmp_path.iterdir())
+
+
+class TestRegisteredFlags:
+    SCHEME = {"--alpha", "--r", "--eta-qnd", "--eta-pd1", "--eta-pd2", "--dim"}
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("table1", SCHEME),
+            ("branches", SCHEME),
+            ("wigner", SCHEME | {"--grid", "--branch"}),
+            ("sweep", {"--dim"}),
+            ("optimize", {"--geff0-min", "--geff0-max", "--geff0-step"}),
+        ],
+    )
+    def test_each_subcommand_lists_exactly_its_flags(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert listed == flags | {"--help", "--config", "--out"}
 
 
 class TestConfigHandling:

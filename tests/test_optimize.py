@@ -13,6 +13,7 @@ from nlamp import (
     p_succ_closed,
     verify_symmetry,
 )
+from nlamp.optimize import _Reduced
 
 
 def closed_form_grid(alpha, t, r):
@@ -157,6 +158,31 @@ class TestValidationAndFeasibility:
         assert isinstance(result.alpha_opt, float)
         assert all(isinstance(r, float) for r in result.r_opt)
         assert result.iterations > 0
+
+
+class TestConstraintRoot:
+    def test_closed_form_root_matches_brentq(self):
+        # alpha*(r) solves g(alpha; T) = g0 through a quadratic in (T alpha)^2;
+        # brentq on the gain itself is the oracle.  Both roots lie within about
+        # 1e-14 of the exact one (brentq stops where rounding flips the sign
+        # of the slack), so they agree to 2e-14.
+        interior = 0
+        for g0 in np.linspace(1.01, 1.99, 50):
+            reduced = _Reduced(OptProblem(g_eff0=float(g0)))
+            lo, hi = reduced.alpha_lo, reduced.alpha_hi
+            for r in np.linspace(1e-6, 0.9, 80):
+                s = SplitterTriple.symmetric(float(r))
+
+                def slack(alpha):
+                    return g_eff_closed(alpha, s) - g0
+
+                if slack(lo) < 0.0 or slack(hi) >= 0.0:
+                    continue
+                interior += 1
+                alpha = reduced.alpha_star(float(r))
+                assert alpha == pytest.approx(brentq(slack, lo, hi, xtol=1e-15), abs=2e-14)
+                assert slack(alpha) >= 0.0
+        assert interior > 1000
 
 
 class TestThresholdMonotonicity:
