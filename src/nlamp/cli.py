@@ -4,8 +4,8 @@ Each subcommand is a pure function of its configuration: a JSON config
 file supplies defaults, individual flags override single keys, and
 identical configurations produce byte-identical outputs.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 optimizer not converged.
+Exit codes: 0 success, 2 configuration error (including an output file
+that cannot be written), 3 numeric failure, 4 optimizer not converged.
 """
 
 from __future__ import annotations
@@ -203,14 +203,28 @@ def _out_dir(config: dict) -> Path:
     return out
 
 
+def _save(path: Path, write) -> None:
+    """Create path, fill it with write(fh) and print it.
+
+    An OSError, such as a directory where the file should be, is a
+    configuration error that names the path.
+    """
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+    print(path)
+
+
 def _write_csv(out: Path, name: str, header: list[str], rows) -> None:
     """Write out/name as CSV, every cell through _fmt, and print its path."""
-    path = out / name
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(value) for value in row] for row in rows)
-    print(path)
+
+    _save(out / name, write)
 
 
 def cmd_table1(config: dict) -> int:
@@ -305,9 +319,12 @@ def cmd_wigner(config: dict) -> int:
             return EXIT_NUMERIC
         grid = wigner_of_state(branch.output, spec)
         path = out / f"wigner_branch{selector}.csv"
-    export_grid(grid, path)
-    print(path)
+    _save(path, lambda fh: export_grid(grid, fh))
     return EXIT_OK
+
+
+def _null(value: float) -> float | None:
+    return None if math.isnan(value) else value
 
 
 def cmd_branches(config: dict) -> int:
@@ -315,37 +332,33 @@ def cmd_branches(config: dict) -> int:
     cfg = _scheme_config(config)
     out = _out_dir(config)
     branches, other = enumerate_single_photon_branches(cfg)
+    # every entry has every key; a zero-probability branch has NaN metrics
+    # and no amplitudes, and a defined one at alpha = 0 NaN gain and
+    # fidelities, each written as null
+    entries = [
+        {
+            "outcome": list(branch.outcome),
+            "probability": branch.probability,
+            "defined": branch.defined,
+            "abs_mean_a": _null(branch.mean_a_abs),
+            "g_eff": _null(branch.g_eff),
+            "fidelity_eff": _null(branch.fidelity_eff),
+            "fidelity_energy": _null(branch.fidelity_energy),
+            "fidelity_ideal": _null(branch.fidelity_ideal),
+            "amps": [[a.real, a.imag] for a in branch.output.amps] if branch.defined else None,
+        }
+        for branch in branches
+    ]
     payload = {
         "alpha": [cfg.alpha.real, cfg.alpha.imag],
         "r": [cfg.r1, cfg.r2, cfg.r3],
         "dim": cfg.effective_dim,
         "etas": list(cfg.etas),
-        "branches": [],
+        "branches": entries,
         "other_probability": other,
     }
-    for branch in branches:
-        entry = {
-            "outcome": list(branch.outcome),
-            "probability": branch.probability,
-            "defined": branch.defined,
-        }
-        if branch.defined:
-            metrics = {
-                "abs_mean_a": branch.mean_a_abs,
-                "g_eff": branch.g_eff,
-                "fidelity_eff": branch.fidelity_eff,
-                "fidelity_energy": branch.fidelity_energy,
-                "fidelity_ideal": branch.fidelity_ideal,
-            }
-            # gain and fidelities are NaN at alpha = 0, which JSON writes as null
-            entry.update({key: None if math.isnan(v) else v for key, v in metrics.items()})
-            entry["amps"] = [[a.real, a.imag] for a in branch.output.amps]
-        payload["branches"].append(entry)
-    path = out / "branches.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    print(path)
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    _save(out / "branches.json", lambda fh: fh.write(text))
     return EXIT_OK
 
 

@@ -24,6 +24,10 @@ four-dimensional problem reduces exactly to one dimension:
 What remains, maximizing P(alpha*(r), r) over the feasible reflectivities,
 is solved by a fixed coarse scan followed by a bounded Brent search between
 the neighbours of the best scan point.  Every step is deterministic.
+
+scipy.optimize is imported inside the two functions that call it, not at
+the top of this module: the import takes about 0.6 s, and the package and
+every other subcommand load this module without needing it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .closed_forms import (
     SplitterTriple,
@@ -109,6 +112,10 @@ class _Reduced:
             raise InfeasibleError(f"no feasible point for g_eff0={self.g0}")
         if edge(r_hi) >= 0.0:
             return r_hi
+        # imported here, as in maximize: scipy.optimize takes about 0.6 s to
+        # import and no other subcommand needs it
+        from scipy.optimize import brentq
+
         return brentq(edge, r_lo, r_hi)
 
     def alpha_star(self, r: float) -> float | None:
@@ -145,6 +152,8 @@ def maximize(problem: OptProblem) -> OptResult:
     Raises InfeasibleError when no point of the box satisfies the gain
     constraint.
     """
+    from scipy.optimize import minimize_scalar
+
     reduced = _Reduced(problem)
     r_lo, r_hi = problem.r_bounds
     scan = np.linspace(r_lo, reduced.r_top(r_lo, r_hi), SCAN_POINTS)

@@ -24,6 +24,10 @@ shares the steps of common reading prefixes among its eight patterns; and
 blocks of at most 64 rows.  The block size bounds the sweep's memory; its
 time still grows with the number of points and their dimensions.
 
+The diagonal coefficients are formed in log space from a table of log k!
+values, built once per propagation with `math.lgamma` up to the widest
+step, so the simulator needs numpy and the standard library only.
+
 Every outcome pattern with readings 0 or 1 is enumerated; patterns where
 some detector sees more than one photon are aggregated into a single
 remainder probability.
@@ -35,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import fock
 from .closed_forms import detector_adjusted
@@ -124,30 +127,38 @@ class BranchResult:
         return self.output is not None
 
 
-def _kraus(amps: np.ndarray, r: float, n: int, ancilla: int) -> np.ndarray:
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k < size, from math.lgamma."""
+    return np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
+
+
+def _kraus(
+    amps: np.ndarray, r: float, n: int, ancilla: int, log_factorial: np.ndarray
+) -> np.ndarray:
     """K_k(n) on the last axis of an amplitude block (..., dim) -> (..., dim + k).
 
     K_k(n) is a sum of min(k, n) + 1 shifted diagonals.  Each diagonal's
     coefficients are computed once, in log space so no factorial overflows,
-    and multiply every row of the block at once.
+    and multiply every row of the block at once.  `log_factorial[k]` is
+    log k!, for every k < dim + ancilla and k = n.
     """
     t = math.sqrt(1.0 - r * r)
+    log_r = math.log(r) if r > 0.0 else -math.inf
     dim = amps.shape[-1]
     out = np.zeros(amps.shape[:-1] + (dim + ancilla,), dtype=complex)
-    log_factorial = gammaln(np.arange(max(dim, n) + ancilla + 2))
     for j in range(min(ancilla, n) + 1):
         lowered, raised = n - j, ancilla - j
         size = max(dim - lowered, 0)
         # K₀(n−j) sends |m+n−j⟩ to rⁿ⁻ʲ tᵐ √C(m+n−j, m) |m⟩, then a†^{k−j} adds
-        # √((m+k−j)!/m!)
+        # √((m+k−j)!/m!); r⁰ is 1 also at r = 0
         log_amp = (
             0.5 * (
-                log_factorial[lowered + 1 : lowered + 1 + size]
-                - log_factorial[lowered + 1]
-                + log_factorial[raised + 1 : raised + 1 + size]
+                log_factorial[lowered : lowered + size]
+                - log_factorial[lowered]
+                + log_factorial[raised : raised + size]
             )
-            - log_factorial[1 : size + 1]
-            + xlogy(lowered, r)
+            - log_factorial[:size]
+            + (lowered * log_r if lowered else 0.0)
             + np.arange(size) * math.log(t)
         )
         weight = math.comb(ancilla, j) * t**j * (-r) ** raised
@@ -171,7 +182,8 @@ def kraus_step(state: FockState, r: float, n: int, ancilla: int = 0) -> FockStat
     _check_reflectivity(r)
     if n < 0 or ancilla < 0:
         raise ValueError("photon numbers must be non-negative")
-    return FockState(_kraus(state.amps, r, n, ancilla))
+    log_factorial = _log_factorials(max(state.dim + ancilla, n + 1))
+    return FockState(_kraus(state.amps, r, n, ancilla, log_factorial))
 
 
 _METRICS = ("mean_a_abs", "g_eff", "fidelity_eff", "fidelity_energy", "fidelity_ideal")
@@ -242,12 +254,16 @@ def _propagate(amps: np.ndarray, rs, outcomes) -> list[np.ndarray]:
     Returns one output block per pattern in `outcomes`; patterns that begin
     with the same readings share the steps for those readings.
     """
+    # the widest step has the input's levels plus the largest QND reading,
+    # and no count exceeds the largest reading
+    top = max(max(outcome) for outcome in outcomes)
+    log_factorial = _log_factorials(amps.shape[-1] + top + 1)
     states = {(): amps}
     for stage in range(3):
         prefixes = dict.fromkeys(outcome[: stage + 1] for outcome in outcomes)
         # the photons counted nondestructively are added back at splitter 2
         states = {
-            p: _kraus(states[p[:-1]], rs[stage], p[-1], p[0] if stage == 1 else 0)
+            p: _kraus(states[p[:-1]], rs[stage], p[-1], p[0] if stage == 1 else 0, log_factorial)
             for p in prefixes
         }
     return [states[outcome] for outcome in outcomes]

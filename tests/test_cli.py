@@ -175,6 +175,40 @@ class TestBranchesJson:
         assert vacuum_row["g_eff"] is None
         assert vacuum_row["fidelity_ideal"] is None
 
+    def test_every_entry_has_every_key(self, tmp_path):
+        # at alpha = 0 branch (1, 0, 1) has probability 0; it keeps the keys
+        # of a defined branch, with null values
+        argv = ["branches", "--alpha", "0", "--dim", "8", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        with open(tmp_path / "branches.json") as fh:
+            entries = json.load(fh)["branches"]
+        keys = ["outcome", "probability", "defined", "abs_mean_a", "g_eff", "fidelity_eff",
+                "fidelity_energy", "fidelity_ideal", "amps"]
+        assert all(list(entry) == keys for entry in entries)
+        success = entries[0]
+        assert success["outcome"] == [1, 0, 1]
+        assert success["probability"] == 0.0
+        assert success["defined"] is False
+        assert all(success[key] is None for key in keys[3:])
+        assert entries[-1]["defined"] and len(entries[-1]["amps"]) == 8
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["table1"], "table1.csv"),
+            (["branches"], "branches.json"),
+            (["sweep"], "sweep.csv"),
+            (["optimize", "--geff0-min", "1.4", "--geff0-max", "1.4"], "optimize.csv"),
+            (["wigner", "--grid=-3,3,-3,3,11,11"], "wigner_branch1.csv"),
+        ],
+    )
+    def test_data_file_path_is_a_directory(self, argv, name, tmp_path, capsys):
+        (tmp_path / name).mkdir()
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert str(tmp_path / name) in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     def test_single_threshold(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from nlamp import (
     BRANCH_ORDER,
@@ -25,6 +26,7 @@ from nlamp import (
     pad,
     run_branch,
 )
+from nlamp.scheme import _log_factorials
 
 # reference branch table at alpha = 0.5, all reflectivities 0.4:
 # outcome -> (probability, |<a>|, 1 - F against the energy-matched coherent
@@ -386,6 +388,8 @@ def random_state(rng, dim):
 
 
 class TestKrausAgainstDenseOracle:
+    # r = 0 must raise no numpy warning, whatever the reading
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ancilla", [0, 1, 2])
     @pytest.mark.parametrize("r", [0.0, 0.37, 0.55])
     def test_step_matches_projected_unitary(self, r, ancilla):
@@ -420,3 +424,12 @@ class TestKrausAgainstDenseOracle:
                 assert abs(branch.probability - np.vdot(amps, amps).real) < 1e-12
                 unnormalized = math.sqrt(branch.probability) * pad(branch.output, ORACLE_DIM).amps
                 np.testing.assert_allclose(unnormalized, amps, rtol=0, atol=1e-12)
+
+
+class TestLogFactorials:
+    def test_table_matches_gammaln(self):
+        k = np.arange(2000)
+        expected = gammaln(k + 1.0)
+        table = _log_factorials(k.size)
+        assert table.shape == k.shape
+        assert np.all(np.abs(table - expected) <= 4 * np.spacing(expected))
