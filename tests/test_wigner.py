@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import nlamp.wigner
 from nlamp import (
     BoundaryMassError,
     FockState,
     GridMismatchError,
     GridSpec,
+    WignerGrid,
     coherent_state,
     expect_a_grid,
     export_grid,
@@ -131,6 +133,76 @@ class TestGeneralState:
         np.testing.assert_allclose(grid.values, wigner_coherent(alpha, spec).values, atol=1e-12)
 
 
+def quadrature_points(dim, n_rows):
+    """2 n_rows (J + 1): the points x_i ± y_j of the direct quadrature at h = h_max."""
+    reach = math.sqrt(2 * dim + 1) + 8.0
+    return 2 * n_rows * (math.ceil(reach / (math.pi / (2.0 * reach))) + 1)
+
+
+class TestLattice:
+    """psi evaluated once, on one lattice shared by the rows and the offsets y."""
+
+    @pytest.fixture
+    def node_counts(self, monkeypatch):
+        counts = []
+        wavefunction = nlamp.wigner._wavefunction
+
+        def counted(amps, q):
+            counts.append(q.size)
+            return wavefunction(amps, q)
+
+        monkeypatch.setattr(nlamp.wigner, "_wavefunction", counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(-1e-9, 1e-9, -2, 2, 1001, 5),
+            GridSpec(0.3, 0.3, -3, 3, 1, 61),
+            GridSpec(-4, 4, -4, 4, 3, 41),
+            GridSpec(4, -4, -4, 4, 81, 41),
+            GridSpec(0, 5e-324, -3, 3, 2, 41),
+        ],
+        ids=["sub-step", "one-row", "coarse", "x-descending", "denormal-step"],
+    )
+    def test_matches_coherent_closed_form(self, spec):
+        alpha = 0.6 - 0.4j
+        grid = wigner_of_state(coherent_state(alpha, 40), spec)
+        np.testing.assert_allclose(grid.values, wigner_coherent(alpha, spec).values, atol=1e-12)
+
+    def test_grid_beyond_reach_is_zero(self, node_counts):
+        # reach = sqrt(61) + 8 = 15.8, so no row of this grid is within it
+        spec = GridSpec(30, 40, -3, 3, 11, 11)
+        grid = wigner_of_state(coherent_state(0.5, 30), spec)
+        assert not grid.values.any()
+        assert node_counts == []
+
+    def test_dimension_near_max_dim(self):
+        # dim 996 takes about 0.3 s; evaluated point by point it took 7 s
+        grid = wigner_of_state(coherent_state(1.5 + 0.5j, 996))
+        np.testing.assert_allclose(grid.values, wigner_coherent(1.5 + 0.5j).values, atol=1e-12)
+        grid = wigner_of_state(fock_state(995, 996))
+        np.testing.assert_allclose(grid.values, wigner_fock(995).values, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec(-1e-9, 1e-9, -2, 2, 1001, 5), GridSpec(-12, 12, -4, 4, 4, 41)],
+        ids=["sub-step", "coarse"],
+    )
+    def test_no_more_nodes_than_quadrature_points(self, spec, node_counts):
+        # on these grids a lattice would need more nodes than the points x_i ± y_j
+        wigner_of_state(coherent_state(0.5, 40), spec)
+        assert len(node_counts) == 1
+        assert node_counts[0] <= quadrature_points(40, spec.n_x)
+
+    def test_bench_grid_shares_one_lattice(self, node_counts):
+        spec = GridSpec(-8.0, 8.0, -8.0, 8.0, 321, 321)
+        for dim in (30, 46):
+            wigner_of_state(coherent_state(1.0, dim), spec)
+        assert len(node_counts) == 2
+        assert max(node_counts) < 4000 < quadrature_points(30, spec.n_x)
+
+
 class TestFidelityGrid:
     def test_self_fidelity(self):
         grid = wigner_coherent(0.3 + 0j)
@@ -173,6 +245,18 @@ class TestDualOracle:
             assert abs(expect_a_grid(wa) - metrics(a).mean_a) < 1e-5
 
 
+# rows after a 3×3 header that import_grid must reject
+MALFORMED_ROWS = pytest.mark.parametrize(
+    "rows",
+    [
+        ["0,0,0.1"],
+        ["0,0,0.1"] * 10,
+        ["0,0,0.1"] * 8 + ["0,0,w"],
+    ],
+    ids=["missing-rows", "extra-row", "not-a-number"],
+)
+
+
 class TestCsvRoundTrip:
     def test_small_grid_round_trip(self):
         spec = GridSpec(-1, 1, -1, 1, 3, 3)
@@ -204,18 +288,40 @@ class TestCsvRoundTrip:
             "0.10000000000000001,1,0.11825319197205574\n"
         )
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            ["0,0,0.1"],
-            ["0,0,0.1"] * 10,
-            ["0,0,0.1"] * 8 + ["0,0,w"],
-        ],
-        ids=["missing-rows", "extra-row", "not-a-number"],
-    )
+    @MALFORMED_ROWS
     def test_malformed_file_is_rejected(self, rows):
         with pytest.raises(ValueError):
             import_grid(io.StringIO("\n".join(["-1,1,-1,1,3,3"] + rows) + "\n"))
+
+    @MALFORMED_ROWS
+    def test_malformed_file_is_rejected_from_a_path(self, rows, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(["-1,1,-1,1,3,3"] + rows) + "\n")
+        with pytest.raises(ValueError):
+            import_grid(path)
+
+    def test_path_round_trip_is_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(23)
+        grid = wigner_of_state(random_contained_state(rng, 40), WIDE)
+        path = tmp_path / "grid.csv"
+        export_grid(grid, path)
+        loaded = import_grid(path)
+        assert loaded.spec == grid.spec
+        np.testing.assert_array_equal(loaded.values, grid.values)
+        with open(path, newline="") as fh:
+            np.testing.assert_array_equal(import_grid(fh).values, grid.values)
+
+    def test_rows_format_like_each_value_alone(self):
+        # one %-format call per row writes what formatting each value would
+        spec = GridSpec(-1, 0.3, -2, 1e-7, 2, 4)
+        values = [[-0.0, 5e-324, 1 / 3, -2.5e-300], [1e300, 0.1, -7.0, math.pi]]
+        buffer = io.StringIO()
+        export_grid(WignerGrid(spec, np.array(values)), buffer)
+        x, p = spec.axes()
+        expected = [
+            f"{xi:.17g},{pj:.17g},{w:.17g}" for xi, row in zip(x, values) for pj, w in zip(p, row)
+        ]
+        assert buffer.getvalue().splitlines()[1:] == expected
 
     def test_reimported_grid_integrates_to_one(self, tmp_path):
         path = tmp_path / "grid.csv"
