@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ._format import RECORD, format_17g
 from .errors import BoundaryMassError, GridMismatchError
 from .fock import FockState
 
@@ -65,10 +66,19 @@ def _mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(x, p, indexing="ij")
 
 
+def _orientation(spec: GridSpec) -> float:
+    """-1 if exactly one axis runs downwards, else 1.
+
+    np.trapezoid follows the order of its axis, so over an axis that runs
+    downwards it returns minus the integral; this factor takes that back out.
+    """
+    return math.copysign(1.0, spec.x_max - spec.x_min) * math.copysign(1.0, spec.p_max - spec.p_min)
+
+
 def _integral(spec: GridSpec, values: np.ndarray):
     """Trapezoid-rule integral of values over the grid, p inner and x outer."""
     x, p = spec.axes()
-    return np.trapezoid(np.trapezoid(values, p, axis=1), x)
+    return _orientation(spec) * np.trapezoid(np.trapezoid(values, p, axis=1), x)
 
 
 def integrate(grid: WignerGrid) -> float:
@@ -230,23 +240,39 @@ def expect_a_grid(grid: WignerGrid) -> complex:
     The derivative terms of the full operator-correspondence integrand
     integrate to zero for states vanishing at the boundary, which is
     enforced via the boundary-mass guard.  By the same trapezoid rule as
-    `integrate`, ∬ x W = ∫ x (∫ W dp) dx and ∬ p W = ∫ (∫ p W dp) dx.
+    `integrate`, ∬ x W = ∫ x (∫ W dp) dx and ∬ p W = ∫ (∫ p W dp) dx, with
+    the same orientation factor for axes that run downwards.
     """
     _check_contained(grid)
     x, p = grid.spec.axes()
     mean_x = np.trapezoid(x * np.trapezoid(grid.values, p, axis=1), x)
     mean_p = np.trapezoid(np.trapezoid(grid.values * p, p, axis=1), x)
-    return complex(mean_x, mean_p) / math.sqrt(2)
+    return _orientation(grid.spec) * complex(mean_x, mean_p) / math.sqrt(2)
+
+
+_BLOCK = 4096  # W values formatted at once
+
+
+def _prefixes(axis: np.ndarray) -> np.ndarray:
+    """Each "%.17g," of an axis as a NUL-padded row of bytes."""
+    texts = [b"%.17g," % v for v in axis.tolist()]
+    width = max(map(len, texts))
+    padded = b"".join(t.ljust(width, b"\0") for t in texts)
+    return np.frombuffer(padded, np.uint8).reshape(-1, width)
 
 
 def export_grid(grid: WignerGrid, destination) -> None:
     """Write the grid as CSV: header with bounds/counts, then x,p,w rows.
 
-    Rows are emitted row-major with x as the outer index, 17 significant
-    digits, locale independent.  Each axis value is formatted once; each x
-    row is one template "x,p_0,%.17g\nx,p_1,%.17g\n..." filled with the row's
-    n_p W values by one %-format call, and written at once, so memory stays
-    at one row of text.
+    Rows are emitted row-major with x as the outer index, each number as
+    '%.17g' formats it, locale independent.  The W values go through
+    `format_17g` in blocks of whole x rows, about _BLOCK values each: every
+    line "x,p_j,w\n" is a NUL-padded record of the row's x prefix, the
+    column's p prefix and the value's formatted slots, and one `translate`
+    drops the NULs of a block, which is written at once, so memory stays at
+    one block of text.  The bytes are those of '%.17g' % w, which itself
+    formats only NaN, ±inf, 0 < |w| < 1e-290, |w| >= 1e290 and the values
+    whose digits beyond the 17th lie within 1e-9 of one half.
     """
     if not hasattr(destination, "write"):
         with open(destination, "w", newline="") as fh:
@@ -256,10 +282,17 @@ def export_grid(grid: WignerGrid, destination) -> None:
     # header carries the grid geometry: x_min,x_max,p_min,p_max,nx,np
     header = ",".join(f"{v:.17g}" for v in (spec.x_min, spec.x_max, spec.p_min, spec.p_max))
     destination.write(f"{header},{spec.n_x},{spec.n_p}\n")
-    parts = [f"{v:.17g},%.17g\n" for v in p.tolist()]
-    for xi, row in zip(x.tolist(), grid.values):
-        xs = f"{xi:.17g},"
-        destination.write((xs + xs.join(parts)) % tuple(row.tolist()))
+    xs, ps = _prefixes(x), _prefixes(p)
+    rows = max(1, _BLOCK // spec.n_p)
+    for start in range(0, spec.n_x, rows):
+        w = grid.values[start : start + rows]
+        shape = (*w.shape, xs.shape[1] + ps.shape[1] + RECORD)
+        text = bytearray(math.prod(shape))
+        lines = np.frombuffer(text, np.uint8).reshape(shape)
+        lines[..., : xs.shape[1]] = xs[start : start + rows, None]
+        lines[..., xs.shape[1] : -RECORD] = ps
+        lines[..., -RECORD:] = format_17g(w.ravel()).reshape(*w.shape, RECORD)
+        destination.write(text.translate(None, b"\0").decode("ascii"))
 
 
 def import_grid(source) -> WignerGrid:

@@ -1,9 +1,14 @@
 import io
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nlamp._format
 import nlamp.wigner
 from nlamp import (
     BoundaryMassError,
@@ -233,6 +238,33 @@ class TestExpectationFromGrid:
             expect_a_grid(wigner_coherent(1.0 + 0j, tight))
 
 
+class TestAxisOrientation:
+    """Integrals do not depend on which way an axis runs."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(6, -6, -6, 6, 241, 241),
+            GridSpec(-6, 6, 6, -6, 241, 241),
+            GridSpec(6, -6, 6, -6, 241, 241),
+        ],
+        ids=["x-descending", "p-descending", "both-descending"],
+    )
+    def test_matches_the_ascending_grid(self, spec):
+        ascending = GridSpec(-6, 6, -6, 6, 241, 241)
+        results = []
+        for grid_spec in (ascending, spec):
+            half = wigner_coherent(0.5 + 0j, grid_spec)
+            other = wigner_coherent(0.3 - 0.4j, grid_spec)
+            results.append((integrate(half), fidelity_grid(half, other), expect_a_grid(other)))
+        (norm, overlap, mean_a), (norm_d, overlap_d, mean_a_d) = results
+        assert abs(norm - 1.0) < 1e-6
+        assert abs(norm_d - norm) < 1e-12
+        assert abs(overlap_d - overlap) < 1e-12
+        assert abs(mean_a_d - mean_a) < 1e-12
+        assert abs(mean_a - (0.3 - 0.4j)) < 1e-6
+
+
 class TestDualOracle:
     def test_fidelity_and_expectation_agree_with_fock_basis(self):
         rng = np.random.default_rng(12345)
@@ -327,3 +359,97 @@ class TestCsvRoundTrip:
         path = tmp_path / "grid.csv"
         export_grid(wigner_coherent(0.5 + 0j), path)
         assert abs(integrate(import_grid(path)) - 1.0) < 1e-6
+
+
+def formatted(values):
+    """The text `format_17g` lays out for each value: its record, NULs dropped."""
+    records = nlamp._format.format_17g(np.asarray(values, dtype=float))
+    return records.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def bit_pattern(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def neighbours(v):
+    return [np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf)]
+
+
+# values at every layout switch and at the edges of the fast path
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    *neighbours(nlamp._format.FAST_MIN),
+    *neighbours(nlamp._format.FAST_MAX),
+    *[w for k in range(-323, 309) for w in neighbours(float(f"1e{k}"))],
+    0.0001,
+    9.9999999999999991e-05,
+    0.99999999999999994,
+    131073 / 262144,
+    1 / math.pi,
+    1e300,
+]
+
+
+class TestFormatter:
+    """`export_grid` writes each W value as exactly what '%.17g' makes of it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1).map(bit_pattern),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            ),
+            max_size=300,
+        )
+    )
+    def test_matches_percent_format(self, values):
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_edge_values(self):
+        values = EDGE_VALUES + [-v for v in EDGE_VALUES]
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_rounding_at_the_seventeenth_digit(self):
+        # the largest double below 1, a tie that rounds to even, and the
+        # switch from positional to exponential notation below 1e-4
+        values = [0.99999999999999994, 131073 / 262144, 0.0001, 9.9999999999999991e-05]
+        assert formatted(values) == [
+            "0.99999999999999989",
+            "0.50000381469726562",
+            "0.0001",
+            "9.9999999999999991e-05",
+        ]
+
+    def test_edge_values_round_trip(self, tmp_path):
+        values = np.array([EDGE_VALUES, [-v for v in EDGE_VALUES]])
+        grid = WignerGrid(GridSpec(-1, 1, -1, 1, *values.shape), values)
+        path = tmp_path / "edges.csv"
+        export_grid(grid, path)
+        loaded = import_grid(path).values
+        np.testing.assert_array_equal(loaded.view(np.uint64), values.view(np.uint64))
+
+    def test_export_memory_stays_at_one_block(self):
+        # 40 rows of 1 001 columns span ten blocks; as one block the export
+        # peaked at about 10 MB, in blocks at about 1.1 MB
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        rng = np.random.default_rng(24)
+        values = rng.normal(size=(40, 1001)) * 10.0 ** rng.integers(-40, 1, (40, 1001))
+        grid = WignerGrid(GridSpec(-8, 8, -8, 8, 40, 1001), values)
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            export_grid(grid, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 40 * 1001 * 20
+        assert peak < 4 * 2**20
