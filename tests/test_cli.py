@@ -359,6 +359,9 @@ class TestMalformedValues:
             # a grid count must be an integer in the list form as in the string form
             ("wigner", {"grid": [-4, 4, -4, 4, 3.7, 7], "branch": "input"}),
             ("wigner", {"grid": "-4,4,-4,4,3.7,7", "branch": "input"}),
+            # finite bounds whose span overflows
+            ("wigner", {"grid": "1e308,-1e308,-1,1,3,3", "branch": "input"}),
+            ("wigner", {"grid": [-1, 1, -1e308, 1e308, 3, 3]}),
         ],
     )
     def test_bad_config_value(self, command, values, tmp_path, capsys):
@@ -442,10 +445,11 @@ VALID_VALUES = {
     "geff0_step": st.floats(0.3, 1.0),
 }
 # wrong types, non-finite numbers, out-of-range values and sizes far past the
-# CLI bounds (a dimension, a derived dimension and a grid of 10^10 cells)
+# CLI bounds (a dimension, a derived dimension and a grid of 10^10 cells),
+# and a grid whose finite bounds span more than the largest float
 BAD_VALUES = st.sampled_from(
     [math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, "x", "", True, None, [], [1, 2, 3], {},
-     10**15, 1e6, "-6,6,-6,6,100000,100000"]
+     10**15, 1e6, "-6,6,-6,6,100000,100000", "1e308,-1e308,-1,1,3,3"]
 )
 
 

@@ -1,4 +1,4 @@
-"""Which subcommands import scipy: only the optimizer needs it."""
+"""Which modules the subcommands load: scipy only for the optimizer, the CSV reader only for import_grid."""
 
 import json
 import os
@@ -11,8 +11,10 @@ import pytest
 import nlamp
 
 # Run in a fresh interpreter, since this test session has imported scipy
-# already.  Prints the scipy modules loaded after the non-optimizer
-# subcommands, then after one maximization.
+# and the CSV reader already.  Prints whether the reader was loaded after
+# `import nlamp` and after the table1, branches and sweep subcommands, and
+# the scipy modules loaded after the non-optimizer subcommands, then after
+# one maximization.
 SCRIPT = """
 import json, sys
 import nlamp, nlamp.cli
@@ -22,10 +24,13 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 out = sys.argv[1]
-codes = [main([command, "--out", out]) for command in ("table1", "branches", "sweep", "wigner")]
+reader = ["nlamp._parse" in sys.modules]
+codes = [main([command, "--out", out]) for command in ("table1", "branches", "sweep")]
+reader.append("nlamp._parse" in sys.modules)
+codes.append(main(["wigner", "--out", out]))
 before = scipy_modules()
 nlamp.maximize(nlamp.OptProblem(g_eff0=1.4))
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(), "reader": reader}))
 """
 
 
@@ -50,3 +55,8 @@ def test_simulator_subcommands_load_no_scipy(loaded):
 
 def test_maximize_loads_scipy_optimize(loaded):
     assert "scipy.optimize" in loaded["after"]
+
+
+def test_import_and_table_subcommands_load_no_csv_reader(loaded):
+    # import_grid loads nlamp._parse on its first call
+    assert loaded["reader"] == [False, False]

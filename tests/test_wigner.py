@@ -1,7 +1,9 @@
+import builtins
 import io
 import math
 import struct
 import tracemalloc
+from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlamp._format
+import nlamp._parse
 import nlamp.wigner
 from nlamp import (
+    SUCCESS_OUTCOME,
     BoundaryMassError,
     FockState,
     GridMismatchError,
     GridSpec,
+    SchemeConfig,
     WignerGrid,
     coherent_state,
     expect_a_grid,
@@ -26,6 +31,7 @@ from nlamp import (
     integrate,
     metrics,
     normalized,
+    run_branch,
     wigner_coherent,
     wigner_fock,
     wigner_of_state,
@@ -452,4 +458,190 @@ class TestFormatter:
         finally:
             tracemalloc.stop()
         assert sink.size > 40 * 1001 * 20
+        assert peak < 4 * 2**20
+
+
+def assert_same_values(got, want):
+    """Bit-identical values, NaN compared by isnan."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def read_back(values, directory):
+    """values as one grid row, exported and read back from a path and from a handle."""
+    values = np.array(values, dtype=float)
+    grid = WignerGrid(GridSpec(-1, 1, -1, 1, 1, values.size), values[None])
+    path = directory / "row.csv"
+    export_grid(grid, path)
+    buffer = io.StringIO()
+    export_grid(grid, buffer)
+    buffer.seek(0)
+    return import_grid(path).values[0], import_grid(buffer).values[0]
+
+
+def field(sign, digits, exponent):
+    """The W field [-]d.ddd…e±XX of a digit string and its decimal exponent."""
+    return f"{sign}{digits[0]}.{digits[1:]}e{'-' if exponent < 0 else '+'}{abs(exponent):02d}"
+
+
+def around_midpoint(v):
+    """The 17-digit fields just below and just above the midpoint of v and its upper neighbour."""
+    with localcontext() as context:
+        context.prec = 1100
+        mid = (Decimal(v) + Decimal(float(np.nextafter(v, math.inf)))) / 2
+        unit = Decimal(10) ** (mid.adjusted() - 16)
+        below = mid.quantize(unit, rounding=ROUND_FLOOR)
+        fields = []
+        for d in (below, below + unit):
+            digits, exponent = str(d.scaleb(-d.adjusted() + 16).to_integral_exact()), d.adjusted()
+            fields.append(field("", digits, exponent))
+    return fields
+
+
+# lines after a 1 x 2 header that are not in export layout, each read by np.loadtxt
+FALLBACK_BODIES = pytest.mark.parametrize(
+    "body",
+    [
+        "0,0,0.5\r\n0,1,0.25\r\n",
+        "0,0,0.5\n\n0,1,0.25\n",
+        "0,0, 0.5 \n0,1,0.25\n",
+        "0,0,0.5,7\n0,1,0.25,8\n",
+        "0,0,+1\n0,1,0.25\n",
+        "0,0,.5\n0,1,0.25\n",
+        "0,0,1E5\n0,1,0.25\n",
+        "0,0,nan\n0,1,0.25\n",
+        "0,0,-inf\n0,1,0.25\n",
+        "0,0,0.5\n0,1,0.25",
+        "0,0,5.\n0,1,0.25\n",
+        "0,0,1e5\n0,1,0.25\n",
+        "0,0\u00e9,0.5\n0,1,0.25\n",
+    ],
+    ids=["crlf", "blank-line", "spaces", "fourth-column", "plus", "leading-point", "capital-e",
+         "nan", "minus-inf", "no-final-newline", "trailing-point", "unsigned-exponent", "non-ascii"],
+)
+
+
+class TestReader:
+    """`import_grid` returns exactly what np.loadtxt makes of the W column."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2**64 - 1).map(bit_pattern),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, values):
+        for loaded in read_back(values, tmp_path_factory.mktemp("row")):
+            assert_same_values(loaded, values)
+
+    def test_edge_values_round_trip(self, tmp_path):
+        values = EDGE_VALUES + [-v for v in EDGE_VALUES]
+        for loaded in read_back(values, tmp_path):
+            assert_same_values(loaded, values)
+
+    def test_fields_around_midpoints_and_at_the_table_ends(self, tmp_path):
+        rng = np.random.default_rng(25)
+        anchors = [1 / 3, 0.1, 1e-5, 9.9999999999999991e-05, 0.31830988618379069]
+        anchors += list(rng.normal(size=40) * 10.0 ** rng.integers(-60, 1, 40))
+        fields = [f for v in anchors for f in around_midpoint(abs(float(v)))]
+        # ties, above and below a power of two, and exponents at both ends
+        # of the table, and beyond the largest float
+        fields += ["9007199254740993", "9007199254740995", "9007199254740991.5"]
+        for exponent in (-259, -260, 288, 289):
+            fields += [field("", "12345678901234567", exponent), field("-", "98765432109876543", exponent)]
+        fields += ["99999999999999999e+291", "-99999999999999999e+292"]
+        text = "-1,1,-1,1,1,%d\n" % len(fields) + "".join(f"0,0,{f}\n" for f in fields)
+        path = tmp_path / "fields.csv"
+        path.write_text(text)
+        assert_same_values(import_grid(path).values[0], [float(f) for f in fields])
+
+    def test_bench_grid_needs_neither_loadtxt_nor_float(self, tmp_path, monkeypatch):
+        state = run_branch(SchemeConfig.symmetric(0.9 + 0j, 0.3), SUCCESS_OUTCOME).output
+        grid = wigner_of_state(state, WIDE)
+        path = tmp_path / "grid.csv"
+        export_grid(grid, path)
+        calls = []
+
+        def spy_float(text):
+            calls.append(text)
+            return builtins.float(text)
+
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append("loadtxt"))
+        monkeypatch.setattr(nlamp._parse, "float", spy_float, raising=False)
+        np.testing.assert_array_equal(import_grid(path).values, grid.values)
+        assert calls == []
+        # the spy sees the fields that do go to float(): NaN and ties, here
+        # above and below 2^53
+        fields = ["nan", "0.25", "9007199254740993", "9007199254740991.5"]
+        path.write_text("-1,1,-1,1,1,4\n" + "".join(f"0,0,{f}\n" for f in fields))
+        assert_same_values(import_grid(path).values[0], [float(f) for f in fields])
+        assert calls == [b"nan", b"9007199254740993", b"9007199254740991.5"]
+
+    @FALLBACK_BODIES
+    def test_other_files_read_as_loadtxt_reads_them(self, body, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"-1,1,-1,1,1,2\n" + body.encode())
+        want = np.loadtxt(path, delimiter=",", usecols=2, ndmin=1, skiprows=1)
+        assert_same_values(import_grid(path).values[0], want)
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"-1,1,-1,1,1,2\r0,0,0.5\r0,1,0.25\r", b"-1,1,-1,1,1,2\r\n0,0,0.5\n0,1,0.25\n"],
+        ids=["cr-only", "crlf-header"],
+    )
+    def test_header_line_end_is_read_as_before(self, text, tmp_path):
+        # the header is read in text mode, which ends a line at a lone '\r'
+        path = tmp_path / "grid.csv"
+        path.write_bytes(text)
+        assert_same_values(import_grid(path).values[0], [0.5, 0.25])
+
+    @pytest.mark.parametrize("w",["1_0", "0x10", "", "1.2.3"], ids=["underscore", "hex", "empty", "two-points"])
+    def test_malformed_w_is_rejected(self, w, tmp_path):
+        text = f"-1,1,-1,1,1,2\n0,0,{w}\n0,1,0.25\n"
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            import_grid(path)
+
+    def test_invalid_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(b"-1,1,-1,1,1,2\n0,0\xff,0.5\n0,1,0.25\n")
+        with pytest.raises(ValueError):
+            import_grid(path)
+
+    def test_header_claiming_a_huge_grid_is_rejected(self, tmp_path):
+        # 10^10 cells: the reader leaves such a grid to np.loadtxt rather
+        # than allocate it up front
+        path = tmp_path / "grid.csv"
+        path.write_text("-1,1,-1,1,100000,100000\n0,0,0.5\n0,1,0.25\n")
+        with pytest.raises(ValueError):
+            import_grid(path)
+
+    def test_header_spanning_more_than_the_largest_float_is_rejected(self):
+        with pytest.raises(ValueError):
+            import_grid(io.StringIO("1e308,-1e308,-1,1,1,1\n0,0,0.5\n"))
+
+    def test_import_memory_stays_near_one_chunk(self, tmp_path):
+        # 40 rows of 1 001 columns span about ten chunks; read as one chunk
+        # the grid peaked at about 27 MB, in chunks at about 2.1 MB, of which
+        # 0.3 MB is the grid itself (np.loadtxt: 0.5 MB)
+        rng = np.random.default_rng(24)
+        values = rng.normal(size=(40, 1001)) * 10.0 ** rng.integers(-40, 1, (40, 1001))
+        path = tmp_path / "grid.csv"
+        export_grid(WignerGrid(GridSpec(-8, 8, -8, 8, 40, 1001), values), path)
+        import_grid(path)
+        tracemalloc.start()
+        try:
+            loaded = import_grid(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.values, values)
         assert peak < 4 * 2**20
