@@ -11,7 +11,6 @@ one-dimensional search over a shared reflectivity.
 """
 
 from .closed_forms import (
-    ClosedFormFidelity,
     SplitterTriple,
     detector_adjusted,
     f_eff_closed,

@@ -44,7 +44,8 @@ EXIT_NOT_CONVERGED = 4
 
 MAX_THRESHOLDS = 10_000
 # Size bounds, checked before anything is allocated.  MAX_DIM holds for the
-# truncation dimension whether it is given or derived from the amplitude.
+# truncation dimension of table1, branches and wigner, whether it is given or
+# derived from the amplitude; the sweep evaluates closed forms and has none.
 # The grid counts are bounded one by one because the Wigner quadrature holds
 # an n_x by ~4 dim / pi array whatever n_p is.
 MAX_DIM = 1000
@@ -70,7 +71,6 @@ DEFAULTS = {
     "branches": SCHEME_DEFAULTS,
     "wigner": {**SCHEME_DEFAULTS, "grid": "-6,6,-6,6,241,241", "branch": "1"},
     "sweep": {
-        "dim": None,
         "alpha_min": 0.05,
         "alpha_max": 1.5,
         "alpha_steps": 30,
@@ -262,9 +262,8 @@ def cmd_sweep(config: dict) -> int:
             f"alpha_steps * len(r_values) is {steps * len(r_values)}, "
             f"above MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
         )
-    dim = _dim(config, max(alpha_min, alpha_max))
     out = _out_dir(config)
-    rows = gain_fidelity_sweep(np.linspace(alpha_min, alpha_max, steps), r_values, dim=dim)
+    rows = gain_fidelity_sweep(np.linspace(alpha_min, alpha_max, steps), r_values)
     header = ["alpha_abs", "r", "g_eff", "F_eff", "F_ideal", "P_succ"]
     _write_csv(out, "sweep.csv", header, map(astuple, rows))
     return EXIT_OK

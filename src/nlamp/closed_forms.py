@@ -1,8 +1,16 @@
-"""Closed-form predictions for the three-splitter amplifier.
+"""Closed forms for the success branch of the three-splitter amplifier.
 
-Kept free of any simulator dependency so the two routes can referee each
-other: the scheme module computes the same quantities by explicit state
-propagation and the test suite requires agreement.
+With a coherent input the heralded (1, 0, 1) output is proportional to
+(1 + gamma a†)|gamma⟩, gamma = T alpha: splitter 1's K₀(1) leaves
+|t1 alpha⟩, splitter 2 adds the counted photon back as a†, and splitter 3
+applies t3^n̂ a, where a a†|c⟩ = (1 + c a†)|c⟩.  This photon-added coherent
+state (Agarwal & Tara, PRA 43, 492 (1991)) makes the probability, gain and
+fidelity (`f_eff_conjectured`) below exact, with no Fock truncation.
+
+They are the product route for success-branch figures: the (alpha, r)
+sweep and the optimizer evaluate them.  The Fock simulator in the scheme
+module is the referee the tests hold them to, so this module imports
+nothing from it.
 
 All expressions depend on the splitter reflectivities only through the
 products T = t1 t2 t3 and R = r1 r2 r3, and on the input only through
@@ -54,16 +62,31 @@ class SplitterTriple:
 
 
 def p_succ_products(alpha_abs: float, t_product: float, r_product: float) -> float:
-    """Success probability from the splitter products T and R directly."""
-    ta2 = (t_product * alpha_abs) ** 2
-    ra2 = (r_product * alpha_abs) ** 2
-    return (1.0 + ta2 * (3.0 + ta2)) * ra2 * math.exp(ta2 - alpha_abs * alpha_abs)
+    """Success probability from the splitter products T and R directly.
+
+    Squares are products, not powers, so no |alpha| raises OverflowError.
+    Where the Gaussian factor e^(-(1 - T^2)|alpha|^2) underflows, or its
+    exponent is inf - inf, the result is 0, whatever the polynomial in front.
+    """
+    ta, ra = t_product * alpha_abs, r_product * alpha_abs
+    ta2 = ta * ta
+    decay = math.exp(ta2 - alpha_abs * alpha_abs)
+    if not decay > 0.0:
+        return 0.0
+    return (1.0 + ta2 * (3.0 + ta2)) * (ra * ra) * decay
 
 
 def g_eff_products(alpha_abs: float, t_product: float) -> float:
-    """Effective gain from the transmission product T directly."""
-    ta2 = (t_product * alpha_abs) ** 2
-    return t_product * (2.0 + 4.0 * ta2 + ta2 * ta2) / (1.0 + 3.0 * ta2 + ta2 * ta2)
+    """Effective gain from the transmission product T directly.
+
+    Where |T alpha|^4 overflows, the gain is T to rounding.
+    """
+    ta = t_product * alpha_abs
+    ta2 = ta * ta
+    ta4 = ta2 * ta2
+    if ta4 == math.inf:
+        return t_product
+    return t_product * (2.0 + 4.0 * ta2 + ta4) / (1.0 + 3.0 * ta2 + ta4)
 
 
 def p_succ_closed(alpha_abs: float, s: SplitterTriple) -> float:
@@ -71,7 +94,7 @@ def p_succ_closed(alpha_abs: float, s: SplitterTriple) -> float:
 
     (1 + |T a|^2 (3 + |T a|^2)) |R a|^2 exp(|T a|^2 - |a|^2) with a = |alpha|.
     """
-    if alpha_abs < 0:
+    if not alpha_abs >= 0:
         raise ValueError("alpha_abs must be non-negative")
     return p_succ_products(alpha_abs, s.transmission_product, s.reflection_product)
 
@@ -82,31 +105,19 @@ def g_eff_closed(alpha_abs: float, s: SplitterTriple) -> float:
     T (2 + 4|T a|^2 + |T a|^4) / (1 + 3|T a|^2 + |T a|^4); tends to 2T as
     alpha -> 0 (nominal gain 2 for lossless splitters).
     """
-    if alpha_abs < 0:
+    if not alpha_abs >= 0:
         raise ValueError("alpha_abs must be non-negative")
     return g_eff_products(alpha_abs, s.transmission_product)
 
 
-@dataclass(frozen=True)
-class ClosedFormFidelity:
-    """Effective-fidelity value together with its provenance flag.
-
-    `as_printed` marks that the value follows the published closed form
-    verbatim, whose exponent is suspected of a misprint; the numeric
-    state-overlap from the scheme module is the authoritative fidelity.
-    """
-
-    value: float
-    as_printed: bool = True
-
-
-def f_eff_closed(alpha_abs: float, s: SplitterTriple, g_eff: float) -> ClosedFormFidelity:
+def f_eff_closed(alpha_abs: float, s: SplitterTriple, g_eff: float) -> float:
     """Effective fidelity against |g_eff alpha⟩, evaluated exactly as printed.
 
     Numerator (1 + 2 g T |a|^2 + g^2 T^2 |a|^4) exp(-(g^2 - T)^2 |a|^2),
-    denominator 1 + 3 |T a|^2 + |T a|^4.
+    denominator 1 + 3 |T a|^2 + |T a|^4.  The printed exponent squares g and
+    disagrees with the state overlap; `f_eff_conjectured` is the exact form.
     """
-    if alpha_abs < 0:
+    if not alpha_abs >= 0:
         raise ValueError("alpha_abs must be non-negative")
     if g_eff <= 0:
         raise ValueError("g_eff must be positive")
@@ -117,17 +128,21 @@ def f_eff_closed(alpha_abs: float, s: SplitterTriple, g_eff: float) -> ClosedFor
         1.0 + 2.0 * g_eff * big_t * a2 + g_eff * g_eff * big_t * big_t * a2 * a2
     ) * math.exp(-((g_eff * g_eff - big_t) ** 2) * a2)
     denominator = 1.0 + 3.0 * ta2 + ta2 * ta2
-    return ClosedFormFidelity(numerator / denominator)
+    return numerator / denominator
 
 
 def f_eff_conjectured(alpha_abs: float, s: SplitterTriple, g_eff: float) -> float:
-    """Effective fidelity with the exponent read as (g_eff - T)^2 |a|^2.
+    """Success-branch fidelity with |g alpha⟩, the exponent read as (g - T)^2 |a|^2.
 
-    The printed exponent squares g_eff; replacing g_eff^2 by g_eff makes the
-    closed form agree with the simulated state overlap to machine precision,
-    so this variant is the one cross-checked against the simulator.
+    The printed exponent has g^2 in place of g; this form is exact, not a
+    conjecture.  The output is (1 + gamma a†)|gamma⟩ / N, gamma = T alpha,
+    N^2 = 1 + 3|gamma|^2 + |gamma|^4, and ⟨beta|(1 + gamma a†)|gamma⟩ =
+    (1 + gamma beta*) ⟨beta|gamma⟩ with |⟨beta|gamma⟩|^2 =
+    e^(-|beta - gamma|^2).  For beta = g alpha, in phase with gamma,
+    F = (1 + g T |a|^2)^2 e^(-(g - T)^2 |a|^2) / N^2: F_eff at g = g_eff,
+    and the fidelity with the ideal output |2 alpha⟩ at g = 2.
     """
-    if alpha_abs < 0:
+    if not alpha_abs >= 0:
         raise ValueError("alpha_abs must be non-negative")
     big_t = s.transmission_product
     a2 = alpha_abs * alpha_abs

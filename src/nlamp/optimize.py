@@ -23,7 +23,9 @@ four-dimensional problem reduces exactly to one dimension:
 
 What remains, maximizing P(alpha*(r), r) over the feasible reflectivities,
 is solved by a fixed coarse scan followed by a bounded Brent search between
-the neighbours of the best scan point.  Every step is deterministic.
+the neighbours of the best scan point.  Every step is deterministic.  The
+reported fidelity f_opt is the closed form as well, so no state is
+propagated.
 
 scipy.optimize is imported inside the two functions that call it, not at
 the top of this module: the import takes about 0.6 s, and the package and
@@ -39,12 +41,12 @@ import numpy as np
 
 from .closed_forms import (
     SplitterTriple,
+    f_eff_conjectured,
     g_eff_closed,
     g_eff_products,
     p_succ_products,
 )
 from .errors import InfeasibleError
-from .scheme import SUCCESS_OUTCOME, SchemeConfig, run_branch
 
 SCAN_POINTS = 65
 
@@ -172,13 +174,15 @@ def maximize(problem: OptProblem) -> OptResult:
         r_opt, p_opt = float(refined.x), -float(refined.fun)
     alpha_opt = float(reduced.alpha_star(r_opt))
 
-    slack = reduced.slack(alpha_opt, _transmission(r_opt))
-    cfg = SchemeConfig.symmetric(complex(alpha_opt), r_opt)
+    t = _transmission(r_opt)
+    slack = reduced.slack(alpha_opt, t)
     return OptResult(
         p_opt=p_opt,
         alpha_opt=alpha_opt,
         r_opt=(r_opt, r_opt, r_opt),
-        f_opt=run_branch(cfg, SUCCESS_OUTCOME).fidelity_eff,
+        f_opt=f_eff_conjectured(
+            alpha_opt, SplitterTriple.symmetric(r_opt), g_eff_products(alpha_opt, t)
+        ),
         g_eff0=problem.g_eff0,
         converged=bool(refined.success) and slack >= -1e-8 and p_opt > 0,
         iterations=reduced.evals,

@@ -7,6 +7,14 @@ photodetector PD1.  Splitter 3 mixes with vacuum again and feeds PD2.
 Success is the pattern (QND, PD1, PD2) = (1, 0, 1): subtract one photon,
 add it back, subtract one again.
 
+Two routes give branch figures.  The truncated Fock simulator below is the
+product for the branch table (`enumerate_single_photon_branches`) and for
+single branches with their output states (`run_branch`), and it is the
+referee the tests hold the closed forms to.  The success-branch sweep
+(`gain_fidelity_sweep`) reports the (1, 0, 1) branch only, whose
+probability, gain and fidelities are exact closed forms (`closed_forms`),
+so it evaluates those and propagates no state.
+
 Each splitter is followed by a photon counter on its reflected arm, so
 every splitter-and-detection step is one single-mode Kraus operator on the
 signal (`kraus_step`); no two-mode state is ever formed.  A branch is three
@@ -14,15 +22,12 @@ such steps, and its probability is the squared norm of the unnormalized
 result.
 
 The steps act on blocks of states: an array of shape (B, dim) whose rows
-are amplitude vectors, each zero above its own truncation.  K_k(n) is a sum
-of at most min(k, n) + 1 shifted diagonals whose coefficients are computed
-once per step and multiply all B rows at once, and the output metrics
-(probability, ⟨a⟩, gain, fidelities) are array operations over the rows.
-`run_branch` is the block of one row; `enumerate_single_photon_branches`
-shares the steps of common reading prefixes among its eight patterns; and
-`gain_fidelity_sweep` pushes all magnitudes of one reflectivity through in
-blocks of at most 64 rows.  The block size bounds the sweep's memory; its
-time still grows with the number of points and their dimensions.
+are amplitude vectors.  K_k(n) is a sum of at most min(k, n) + 1 shifted
+diagonals whose coefficients are computed once per step and multiply all B
+rows at once, and the output metrics (probability, ⟨a⟩, gain, fidelities)
+are array operations over the rows.  `run_branch` is the block of one row,
+and `enumerate_single_photon_branches` shares the steps of common reading
+prefixes among its eight patterns.
 
 The diagonal coefficients are formed in log space from a table of log k!
 values, built once per propagation with `math.lgamma` up to the widest
@@ -41,7 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .closed_forms import detector_adjusted
+from .closed_forms import (
+    SplitterTriple,
+    detector_adjusted,
+    f_eff_conjectured,
+    g_eff_products,
+    p_succ_products,
+)
 from .errors import ZeroNormError, ZeroProbabilityError
 from .fock import FockState, coherent_state, inner_product, metrics
 
@@ -64,14 +75,6 @@ SUCCESS_OUTCOME = (1, 0, 1)
 def _check_reflectivity(r: float) -> None:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"reflectivity must be in [0, 1), got {r}")
-
-
-def _effective_dim(alpha_abs: float, dim: int | None) -> int:
-    if dim is not None:
-        return dim
-    # floor of 30 keeps every reported table number stable under doubling;
-    # sized for 2*alpha so the ideal-amplification comparison state fits
-    return max(30, fock.default_dim(2.0 * alpha_abs))
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,11 @@ class SchemeConfig:
 
     @property
     def effective_dim(self) -> int:
-        return _effective_dim(abs(self.alpha), self.dim)
+        if self.dim is not None:
+            return self.dim
+        # floor of 30 keeps every reported table number stable under doubling;
+        # sized for 2*alpha so the ideal-amplification comparison state fits
+        return max(30, fock.default_dim(2.0 * abs(self.alpha)))
 
 
 @dataclass(frozen=True)
@@ -186,63 +193,49 @@ def kraus_step(state: FockState, r: float, n: int, ancilla: int = 0) -> FockStat
     return FockState(_kraus(state.amps, r, n, ancilla, log_factorial))
 
 
-_METRICS = ("mean_a_abs", "g_eff", "fidelity_eff", "fidelity_energy", "fidelity_ideal")
+def _branch_results(cfg: SchemeConfig, outcomes, block: np.ndarray) -> list[BranchResult]:
+    """BranchResult for each row of a branch block, all rows from `cfg`'s input.
 
-
-def _branch_metrics(alphas: np.ndarray, block: np.ndarray, out_dims: np.ndarray) -> dict:
-    """Probability, normalized output and metrics of every row of a branch block.
-
-    Row b of `block` is the unnormalized output for input amplitude
-    alphas[b], zero above out_dims[b] levels.  Every field is an array over
-    the rows.  Rows below probability 1e-300 get probability 0 and NaN
-    metrics, and rows with alpha = 0 NaN gain and fidelities.
+    Row b of `block` is the unnormalized output of outcomes[b], zero above
+    effective_dim + n_qnd levels.  Rows below probability 1e-300 get
+    probability 0 and NaN metrics, and at alpha = 0 gain and fidelities are
+    NaN.
     """
+    out_dims = [cfg.effective_dim + outcome[0] for outcome in outcomes]
     probability = np.vecdot(block, block).real
     defined = probability >= 1e-300
     probability[~defined] = 0.0
     output = block / np.sqrt(np.where(defined, probability, 1.0))[:, None]
     levels = np.arange(output.shape[-1])
     mean_a_abs = np.abs(np.vecdot(output[:, :-1], np.sqrt(levels[1:]) * output[:, 1:]))
-    metrics = np.full((len(_METRICS), alphas.size), np.nan)
+    # mean_a_abs, g_eff, fidelity_eff, fidelity_energy, fidelity_ideal
+    metrics = np.full((5, len(outcomes)), np.nan)
     metrics[0, defined] = mean_a_abs[defined]
 
-    rows = np.flatnonzero(defined & (alphas != 0))
-    alpha, psi = alphas[rows], output[rows]
-    alpha_abs = np.abs(alpha)
-    g_eff = mean_a_abs[rows] / alpha_abs
-    mean_n = np.vecdot(psi, levels * psi).real
-    # real and imaginary parts apart: numpy's complex division overflows
-    # for subnormal |alpha|
-    phase = alpha.real / alpha_abs + 1j * (alpha.imag / alpha_abs)
-    # the comparison coherent states need room for their own amplitude; the
-    # three of every row are built as one block
-    target_dims = [max(d, fock.default_dim(2.0 * a)) for d, a in zip(out_dims[rows], alpha_abs)]
-    betas = np.stack([g_eff * alpha, np.sqrt(mean_n) * phase, 2.0 * alpha])
-    targets = fock.coherent_block(betas, target_dims)
-    width = min(targets.shape[-1], psi.shape[-1])
-    overlaps = np.vecdot(targets[..., :width], psi[:, :width])
-    metrics[1, rows] = g_eff
-    metrics[2:, rows] = overlaps.real**2 + overlaps.imag**2
-    return {
-        "probability": probability,
-        "output": output,
-        "defined": defined,
-        **dict(zip(_METRICS, metrics)),
-    }
-
-
-def _branch_results(cfg: SchemeConfig, outcomes, block: np.ndarray) -> list[BranchResult]:
-    """BranchResult for each row of a branch block, all rows from `cfg`'s input."""
-    out_dims = np.array([cfg.effective_dim + outcome[0] for outcome in outcomes])
-    alphas = np.full(len(outcomes), complex(cfg.alpha))
-    m = _branch_metrics(alphas, block, out_dims)
-    # rows below the probability floor carry probability 0 and NaN metrics
+    rows = np.flatnonzero(defined)
+    if cfg.alpha != 0 and rows.size:
+        alpha = np.complex128(cfg.alpha)
+        alpha_abs, psi = np.abs(alpha), output[rows]
+        g_eff = mean_a_abs[rows] / alpha_abs
+        mean_n = np.vecdot(psi, levels * psi).real
+        # real and imaginary parts apart: numpy's complex division overflows
+        # for subnormal |alpha|
+        phase = alpha.real / alpha_abs + 1j * (alpha.imag / alpha_abs)
+        # the comparison coherent states need room for their own amplitude;
+        # the three of every row are built as one block
+        target_dims = [max(out_dims[b], fock.default_dim(2.0 * alpha_abs)) for b in rows]
+        betas = np.stack([g_eff * alpha, np.sqrt(mean_n) * phase, np.full(rows.size, 2.0 * alpha)])
+        targets = fock.coherent_block(betas, target_dims)
+        width = min(targets.shape[-1], psi.shape[-1])
+        overlaps = np.vecdot(targets[..., :width], psi[:, :width])
+        metrics[1, rows] = g_eff
+        metrics[2:, rows] = overlaps.real**2 + overlaps.imag**2
     return [
         BranchResult(
-            outcome=outcome,
-            probability=detector_adjusted(float(m["probability"][b]), *cfg.etas),
-            output=FockState(m["output"][b, : out_dims[b]]) if m["defined"][b] else None,
-            **{name: float(m[name][b]) for name in _METRICS},
+            outcome,
+            detector_adjusted(float(probability[b]), *cfg.etas),
+            FockState(output[b, : out_dims[b]]) if defined[b] else None,
+            *metrics[:, b].tolist(),
         )
         for b, outcome in enumerate(outcomes)
     ]
@@ -333,23 +326,17 @@ class SweepRow:
     p_succ: float
 
 
-# Rows propagated together in gain_fidelity_sweep: peak memory is about
-# _SWEEP_BLOCK * dim * 16 bytes per temporary array, whatever the sweep size.
-_SWEEP_BLOCK = 64
-
-
-def gain_fidelity_sweep(
-    alpha_values, r_values, dim: int | None = None
-) -> list[SweepRow]:
+def gain_fidelity_sweep(alpha_values, r_values) -> list[SweepRow]:
     """Success-branch gain, fidelities and probability over an (alpha, r) grid.
 
-    Rows run over r outer, |alpha| inner, and equal `run_branch` on
-    `SchemeConfig.symmetric(alpha, r, dim=dim)` point by point up to
-    rounding.  The magnitudes go through the Kraus steps in blocks of up to
-    _SWEEP_BLOCK rows, each row zero-padded to the widest in its block, so
-    each step is a few vectorized passes per block and memory stays bounded
-    whatever the sweep size.  Each input block is built once and shared by
-    every r.
+    Rows run over r outer, |alpha| inner.  Each comes from the closed forms,
+    which are exact for this branch: P from `p_succ_products`, g_eff from
+    `g_eff_products`, and F_eff and F_ideal from `f_eff_conjectured` with
+    g_eff and with 2.  They equal `run_branch` on
+    `SchemeConfig.symmetric(alpha, r)` point by point up to rounding, with
+    no truncation, so any finite magnitude gives a row.  A point whose P is
+    below 1e-300, alpha = 0 among them, gets P = 0 and NaN metrics, as a
+    branch below that floor does.
     """
     alphas = np.asarray(alpha_values)
     if np.iscomplexobj(alphas):
@@ -358,31 +345,19 @@ def gain_fidelity_sweep(
     bad = alphas[~(np.isfinite(alphas) & (alphas >= 0))]
     if bad.size:
         raise ValueError(f"|alpha| values must be finite and non-negative, got {bad[0]}")
-    r_values = [float(r) for r in r_values]
-    for r in r_values:
-        _check_reflectivity(r)
-    if dim is not None and dim < 2:
-        raise ValueError("dim must be at least 2")
-    dims = np.array([_effective_dim(a, dim) for a in alphas], dtype=int)
-    columns = [[] for _ in r_values]
-    for start in range(0, alphas.size, _SWEEP_BLOCK):
-        chunk = slice(start, start + _SWEEP_BLOCK)
-        chunk_alphas = alphas[chunk].astype(complex)
-        psi = fock.coherent_block(chunk_alphas, dims[chunk])
-        for column, r in zip(columns, r_values):
-            [block] = _propagate(psi, (r, r, r), [SUCCESS_OUTCOME])
-            m = _branch_metrics(chunk_alphas, block, dims[chunk] + SUCCESS_OUTCOME[0])
-            column.extend(
-                SweepRow(alpha_abs, r, g_eff, f_eff, f_ideal, p_succ)
-                for alpha_abs, g_eff, f_eff, f_ideal, p_succ in zip(
-                    alphas[chunk].tolist(),
-                    m["g_eff"].tolist(),
-                    m["fidelity_eff"].tolist(),
-                    m["fidelity_ideal"].tolist(),
-                    m["probability"].tolist(),
-                )
-            )
-    return [row for column in columns for row in column]
+    splitters = [SplitterTriple.symmetric(float(r)) for r in r_values]
+    rows = []
+    for s in splitters:
+        t = s.transmission_product
+        for alpha_abs in alphas.tolist():
+            p = p_succ_products(alpha_abs, t, s.reflection_product)
+            if p >= 1e-300:
+                g_eff = g_eff_products(alpha_abs, t)
+                f_eff, f_ideal = (f_eff_conjectured(alpha_abs, s, g) for g in (g_eff, 2.0))
+            else:
+                p, g_eff, f_eff, f_ideal = 0.0, math.nan, math.nan, math.nan
+            rows.append(SweepRow(alpha_abs, s.r1, g_eff, f_eff, f_ideal, p))
+    return rows
 
 
 def operator_oracle(cfg: SchemeConfig) -> FockState:

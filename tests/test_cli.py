@@ -88,6 +88,18 @@ class TestSweep:
         expected = g_eff_closed(0.05, SplitterTriple.symmetric(0.05))
         assert float(first[2]) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha_max", [40.0, 1e200])
+    def test_any_finite_amplitude_gives_rows(self, alpha_max, tmp_path):
+        # no truncation bounds the closed forms: a point whose probability
+        # underflows has P = 0 and nan metrics
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha_max": alpha_max, "alpha_steps": 200}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_csv(tmp_path / "sweep.csv")[1:]
+        assert len(rows) == 600
+        assert not any(math.isnan(float(row[5])) for row in rows)
+        assert all(float(row[5]) == 0.0 for row in rows if math.isnan(float(row[2])))
+
     def test_row_count(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -267,6 +279,8 @@ class TestUnusedFlags:
             ["optimize", "--alpha", "3"],
             ["sweep", "--r", "1.5"],
             ["sweep", "--eta-qnd", "0.1"],
+            # the sweep evaluates closed forms, with no truncation to set
+            ["sweep", "--dim", "30"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, tmp_path):
@@ -285,7 +299,7 @@ class TestRegisteredFlags:
             ("table1", SCHEME),
             ("branches", SCHEME),
             ("wigner", SCHEME | {"--grid", "--branch"}),
-            ("sweep", {"--dim"}),
+            ("sweep", set()),
             ("optimize", {"--geff0-min", "--geff0-max", "--geff0-step"}),
         ],
     )
@@ -387,7 +401,7 @@ class TestSizeBounds:
             # 4 * 14^2 + 16 * 14 + 12 = 1020 levels derived from the amplitude
             (["table1", "--alpha", "14"], "MAX_DIM"),
             (["branches", "--alpha", "14"], "MAX_DIM"),
-            (["sweep", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
+            (["wigner", "--alpha", "14"], "MAX_DIM"),
             (["wigner", f"--grid=-6,6,-6,6,{cli.MAX_GRID_POINTS + 1},1"], "MAX_GRID_POINTS"),
             (["wigner", f"--grid=-6,6,-6,6,1,{cli.MAX_GRID_POINTS + 1}"], "MAX_GRID_POINTS"),
         ],
@@ -401,7 +415,6 @@ class TestSizeBounds:
     @pytest.mark.parametrize(
         "values, bound",
         [
-            ({"alpha_min": 0.1, "alpha_max": 14, "alpha_steps": 1}, "MAX_DIM"),
             ({"alpha_steps": cli.MAX_SWEEP_POINTS // 2 + 1, "r_values": [0.1, 0.2]},
              "MAX_SWEEP_POINTS"),
         ],
@@ -445,11 +458,12 @@ VALID_VALUES = {
     "geff0_step": st.floats(0.3, 1.0),
 }
 # wrong types, non-finite numbers, out-of-range values and sizes far past the
-# CLI bounds (a dimension, a derived dimension and a grid of 10^10 cells),
-# and a grid whose finite bounds span more than the largest float
+# CLI bounds (a dimension, a derived dimension and a grid of 10^10 cells), an
+# amplitude whose square overflows, and a grid whose finite bounds span more
+# than the largest float
 BAD_VALUES = st.sampled_from(
     [math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, "x", "", True, None, [], [1, 2, 3], {},
-     10**15, 1e6, "-6,6,-6,6,100000,100000", "1e308,-1e308,-1,1,3,3"]
+     10**15, 1e6, 1e200, "-6,6,-6,6,100000,100000", "1e308,-1e308,-1,1,3,3"]
 )
 
 

@@ -76,17 +76,29 @@ class TestEffectiveGain:
         assert abs(branch.g_eff - g_eff_closed(0.5, SplitterTriple.symmetric(0.4))) < 1e-12
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("alpha", [1e77, 1e154, 1e200, 1.7e308])
+    def test_huge_amplitude_gives_the_limits(self, alpha):
+        # P underflows to 0 and the gain tends to T; neither squares by a
+        # power that raises OverflowError
+        s = SplitterTriple.symmetric(0.3)
+        assert p_succ_closed(alpha, s) == 0.0
+        assert g_eff_closed(alpha, s) == pytest.approx(s.transmission_product, rel=1e-15)
+
+    def test_nan_amplitude_is_rejected(self):
+        with pytest.raises(ValueError):
+            p_succ_closed(float("nan"), SplitterTriple.symmetric(0.3))
+
+
 class TestEffectiveFidelity:
     def test_zero_input_is_unity(self):
-        result = f_eff_closed(0.0, SplitterTriple.symmetric(0.4), 1.5)
-        assert result.value == 1.0
-        assert result.as_printed
+        assert f_eff_closed(0.0, SplitterTriple.symmetric(0.4), 1.5) == 1.0
 
     def test_printed_form_disagrees_with_simulation(self):
         # the printed exponent squares the gain; the resulting value is far
         # from both the published table entry and the simulated overlap
         s = SplitterTriple.symmetric(0.4)
-        printed = f_eff_closed(0.5, s, g_eff_closed(0.5, s)).value
+        printed = f_eff_closed(0.5, s, g_eff_closed(0.5, s))
         simulated = run_branch(SchemeConfig.symmetric(0.5 + 0j, 0.4), SUCCESS_OUTCOME).fidelity_eff
         assert abs((1 - printed) - 4.84e-3) > 0.1
         assert abs(printed - simulated) > 0.1

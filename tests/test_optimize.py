@@ -7,10 +7,13 @@ from nlamp import (
     InfeasibleError,
     OptProblem,
     OptResult,
+    SUCCESS_OUTCOME,
+    SchemeConfig,
     SplitterTriple,
     g_eff_closed,
     maximize,
     p_succ_closed,
+    run_branch,
     verify_symmetry,
 )
 from nlamp.optimize import _Reduced
@@ -67,6 +70,19 @@ class TestThreshold14:
         skewed = SplitterTriple(min(r * 1.2, 0.89), r, max(r * 0.8, 1e-6))
         if g_eff_closed(alpha, skewed) > 1.4:
             assert p_succ_closed(alpha, skewed) <= threshold_14_result.p_opt + 1e-12
+
+
+# the thresholds `nlamp optimize` solves on its defaults
+CLI_THRESHOLDS = [round(1.05 + 0.05 * i, 2) for i in range(19)]
+
+
+@pytest.mark.parametrize("g0", CLI_THRESHOLDS)
+def test_reported_fidelity_equals_simulated_branch(g0):
+    # f_opt is the closed form; the Fock simulator is the referee
+    result = maximize(OptProblem(g_eff0=g0))
+    cfg = SchemeConfig.symmetric(complex(result.alpha_opt), result.r_opt[0])
+    simulated = run_branch(cfg, SUCCESS_OUTCOME).fidelity_eff
+    assert result.f_opt == pytest.approx(simulated, rel=1e-12, abs=0.0)
 
 
 class TestOptimality:

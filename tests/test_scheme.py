@@ -18,11 +18,13 @@ from nlamp import (
     coherence_check,
     coherent_state,
     enumerate_single_photon_branches,
+    f_eff_conjectured,
     g_eff_closed,
     gain_fidelity_sweep,
     inner_product,
     kraus_step,
     operator_oracle,
+    p_succ_closed,
     pad,
     run_branch,
 )
@@ -239,7 +241,7 @@ def assert_same_metric(got, want, label):
 
 
 class TestBlockPropagation:
-    """The batched paths equal the one-row path row by row, up to rounding."""
+    """The batched and closed-form paths equal the one-row path row by row, up to rounding."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -247,15 +249,23 @@ class TestBlockPropagation:
             lambda values: st.permutations(values + [0.0])
         ),
         r=st.floats(0.0, 0.9, exclude_max=True),
-        dim=st.one_of(st.none(), st.integers(24, 40)),
+        extra_levels=st.one_of(st.none(), st.integers(0, 16)),
     )
     # a magnitude whose success probability is positive but below 1e-300
-    @example(alphas=[1e-155, 0.0], r=0.5, dim=None)
-    def test_sweep_rows_equal_run_branch(self, alphas, r, dim):
-        rows = gain_fidelity_sweep(alphas, [r], dim=dim)
+    @example(alphas=[1e-155, 0.0], r=0.5, extra_levels=None)
+    def test_sweep_rows_equal_run_branch(self, alphas, r, extra_levels):
+        # the closed forms carry no truncation, so the referee runs at the
+        # dimension the config picks or an explicit one above it; below it
+        # the target |2 alpha> loses tail (F_ideal is 1.5e-12 low at
+        # |alpha| = 1.5 in 24 levels, where the config picks 45)
+        rows = gain_fidelity_sweep(alphas, [r])
         assert [(row.alpha_abs, row.r) for row in rows] == [(a, r) for a in alphas]
         for alpha, row in zip(alphas, rows):
-            cfg = SchemeConfig.symmetric(complex(alpha), r, dim=dim)
+            cfg = SchemeConfig.symmetric(complex(alpha), r)
+            if extra_levels is not None:
+                cfg = SchemeConfig.symmetric(
+                    complex(alpha), r, dim=cfg.effective_dim + extra_levels
+                )
             branch = run_branch(cfg, SUCCESS_OUTCOME)
             assert_same_metric(row.p_succ, branch.probability, "P")
             assert_same_metric(row.g_eff, branch.g_eff, "g_eff")
@@ -285,9 +295,38 @@ class TestBlockPropagation:
                              "fidelity_energy", "fidelity_ideal"):
                     assert_same_metric(getattr(branch, name), getattr(single, name), name)
 
+    @pytest.mark.parametrize("r", [0.1, 0.3])
+    def test_sweep_row_above_the_cli_dimension_bound_equals_run_branch(self, r):
+        # |alpha| = 14 needs 1020 levels, above the MAX_DIM the table
+        # subcommands admit; the sweep's closed forms need none
+        [row] = gain_fidelity_sweep([14.0], [r])
+        branch = run_branch(SchemeConfig.symmetric(14.0 + 0j, r), SUCCESS_OUTCOME)
+        assert branch.output.dim == 1021
+        assert_same_metric(row.p_succ, branch.probability, "P")
+        assert_same_metric(row.g_eff, branch.g_eff, "g_eff")
+        assert_same_metric(row.f_eff, branch.fidelity_eff, "F_eff")
+        assert_same_metric(row.f_ideal, branch.fidelity_ideal, "F_ideal")
+
+    def test_sweep_past_any_truncation(self):
+        # at |alpha| = 40, e^(-|alpha|^2 / 2) underflows, so no truncated
+        # coherent state exists; past 1e77 the closed-form polynomials overflow
+        s = SplitterTriple.symmetric(0.3)
+        rows = gain_fidelity_sweep([0.0, 40.0, 1e6, 1e200], [0.3])
+        assert [row.alpha_abs for row in rows] == [0.0, 40.0, 1e6, 1e200]
+        g_eff = g_eff_closed(40.0, s)
+        assert rows[1].p_succ == p_succ_closed(40.0, s) > 1e-300
+        assert rows[1].g_eff == g_eff
+        assert rows[1].f_eff == f_eff_conjectured(40.0, s, g_eff)
+        assert rows[1].f_ideal == f_eff_conjectured(40.0, s, 2.0)
+        for row in (rows[0], rows[2], rows[3]):
+            assert row.p_succ == 0.0
+            assert math.isnan(row.g_eff)
+            assert math.isnan(row.f_eff)
+            assert math.isnan(row.f_ideal)
+
     def test_sweep_memory_does_not_grow_with_points(self):
-        # 2 000 points up to the largest amplitude the CLI admits (dim ~ 1000):
-        # about 11 MB in blocks of 64 rows, about 170 MB as one block per r
+        # 2 000 points up to the largest amplitude the table subcommands
+        # admit (dim ~ 1000)
         alphas = np.linspace(0.0, 13.8, 1000)
         tracemalloc.start()
         try:
