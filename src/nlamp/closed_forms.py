@@ -60,20 +60,33 @@ class SplitterTriple:
     def reflection_product(self) -> float:
         return self.r1 * self.r2 * self.r3
 
+    @property
+    def intensity_loss(self) -> float:
+        """1 - T^2, from log1p and expm1, so small reflectivities keep their digits."""
+        return -math.expm1(sum(math.log1p(-r * r) for r in (self.r1, self.r2, self.r3)))
 
-def p_succ_products(alpha_abs: float, t_product: float, r_product: float) -> float:
-    """Success probability from the splitter products T and R directly.
 
-    Squares are products, not powers, so no |alpha| raises OverflowError.
-    Where the Gaussian factor e^(-(1 - T^2)|alpha|^2) underflows, or its
-    exponent is inf - inf, the result is 0, whatever the polynomial in front.
+def p_succ_products(
+    alpha_abs: float, t_product: float, r_product: float, intensity_loss: float
+) -> float:
+    """Success probability from the splitter products T, R and 1 - T^2 directly.
+
+    The Gaussian factor e^(-(1 - T^2)|alpha|^2) takes 1 - T^2 as given
+    (`SplitterTriple.intensity_loss`), not from the rounded T: at r = 1e-9
+    every t rounds to 1, yet 1 - T^2 is 3e-18.  Squares are products, not
+    powers, so no |alpha| raises OverflowError.  Where the Gaussian factor
+    underflows, or its exponent is 0 * inf, the result is 0, whatever the
+    polynomial in front.  Otherwise 1 - T^2 >= max r_i^2 bounds R |alpha|^3
+    by 745^(3/2), so the polynomial, expanded into the squares below, does
+    not overflow even where |T alpha|^4 does.
     """
     ta, ra = t_product * alpha_abs, r_product * alpha_abs
-    ta2 = ta * ta
-    decay = math.exp(ta2 - alpha_abs * alpha_abs)
+    decay = math.exp(-intensity_loss * (alpha_abs * alpha_abs))
     if not decay > 0.0:
         return 0.0
-    return (1.0 + ta2 * (3.0 + ta2)) * (ra * ra) * decay
+    tra = ta * ra
+    tara = ta * tra
+    return (ra * ra + 3.0 * (tra * tra) + tara * tara) * decay
 
 
 def g_eff_products(alpha_abs: float, t_product: float) -> float:
@@ -92,11 +105,13 @@ def g_eff_products(alpha_abs: float, t_product: float) -> float:
 def p_succ_closed(alpha_abs: float, s: SplitterTriple) -> float:
     """Success probability of the heralded subtract-add-subtract sequence.
 
-    (1 + |T a|^2 (3 + |T a|^2)) |R a|^2 exp(|T a|^2 - |a|^2) with a = |alpha|.
+    (1 + |T a|^2 (3 + |T a|^2)) |R a|^2 exp(-(1 - T^2)|a|^2) with a = |alpha|.
     """
     if not alpha_abs >= 0:
         raise ValueError("alpha_abs must be non-negative")
-    return p_succ_products(alpha_abs, s.transmission_product, s.reflection_product)
+    return p_succ_products(
+        alpha_abs, s.transmission_product, s.reflection_product, s.intensity_loss
+    )
 
 
 def g_eff_closed(alpha_abs: float, s: SplitterTriple) -> float:

@@ -145,7 +145,9 @@ class _Reduced:
         if alpha is None:
             return 0.0
         self.evals += 1
-        return p_succ_products(alpha, _transmission(r), r * r * r)
+        return p_succ_products(
+            alpha, _transmission(r), r * r * r, -math.expm1(3.0 * math.log1p(-r * r))
+        )
 
 
 def maximize(problem: OptProblem) -> OptResult:

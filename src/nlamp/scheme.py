@@ -7,31 +7,33 @@ photodetector PD1.  Splitter 3 mixes with vacuum again and feeds PD2.
 Success is the pattern (QND, PD1, PD2) = (1, 0, 1): subtract one photon,
 add it back, subtract one again.
 
-Two routes give branch figures.  The truncated Fock simulator below is the
-product for the branch table (`enumerate_single_photon_branches`) and for
-single branches with their output states (`run_branch`), and it is the
-referee the tests hold the closed forms to.  The success-branch sweep
-(`gain_fidelity_sweep`) reports the (1, 0, 1) branch only, whose
-probability, gain and fidelities are exact closed forms (`closed_forms`),
-so it evaluates those and propagates no state.
-
 Each splitter is followed by a photon counter on its reflected arm, so
 every splitter-and-detection step is one single-mode Kraus operator on the
 signal (`kraus_step`); no two-mode state is ever formed.  A branch is three
 such steps, and its probability is the squared norm of the unnormalized
 result.
 
-The steps act on blocks of states: an array of shape (B, dim) whose rows
-are amplitude vectors.  K_k(n) is a sum of at most min(k, n) + 1 shifted
-diagonals whose coefficients are computed once per step and multiply all B
-rows at once, and the output metrics (probability, ⟨a⟩, gain, fidelities)
-are array operations over the rows.  `run_branch` is the block of one row,
-and `enumerate_single_photon_branches` shares the steps of common reading
-prefixes among its eight patterns.
+Three routes give branch figures.  The truncated Fock simulator
+(`run_branch`) applies the three steps to the input truncated at
+effective_dim and gives one branch with its output state; it is the
+referee the tests hold the other two routes to, and the `wigner`
+subcommand's source of output states.  K_k(n) is a sum of at most
+min(k, n) + 1 shifted diagonals, whose coefficients are formed in log space
+from a table of log k! values (`math.lgamma`), so the simulator needs numpy
+and the standard library only.
 
-The diagonal coefficients are formed in log space from a table of log k!
-values, built once per propagation with `math.lgamma` up to the widest
-step, so the simulator needs numpy and the standard library only.
+The branch table (`enumerate_single_photon_branches`) propagates nothing.
+With a coherent input, each step with a reading of 0 or 1 maps a state
+(u + v a†)|c⟩ to one of the same form, because t^n̂|c⟩ = e^(−r²|c|²/2)|tc⟩,
+t^n̂ a† = t a† t^n̂, a|c⟩ = c|c⟩ and a a†|c⟩ = (1 + c a†)|c⟩.  So every
+0/1 pattern ends in (u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, the
+photon-added coherent algebra (Agarwal & Tara, PRA 43, 492 (1991)), and its
+probability, ⟨a⟩ and fidelities are exact functions of (u, v, gamma),
+evaluated for the eight rows at once.
+
+The success-branch sweep (`gain_fidelity_sweep`) reports the (1, 0, 1)
+branch only, through the closed forms that algebra gives it
+(`closed_forms`).
 
 Every outcome pattern with readings 0 or 1 is enumerated; patterns where
 some detector sees more than one photon are aggregated into a single
@@ -193,77 +195,8 @@ def kraus_step(state: FockState, r: float, n: int, ancilla: int = 0) -> FockStat
     return FockState(_kraus(state.amps, r, n, ancilla, log_factorial))
 
 
-def _branch_results(cfg: SchemeConfig, outcomes, block: np.ndarray) -> list[BranchResult]:
-    """BranchResult for each row of a branch block, all rows from `cfg`'s input.
-
-    Row b of `block` is the unnormalized output of outcomes[b], zero above
-    effective_dim + n_qnd levels.  Rows below probability 1e-300 get
-    probability 0 and NaN metrics, and at alpha = 0 gain and fidelities are
-    NaN.
-    """
-    out_dims = [cfg.effective_dim + outcome[0] for outcome in outcomes]
-    probability = np.vecdot(block, block).real
-    defined = probability >= 1e-300
-    probability[~defined] = 0.0
-    output = block / np.sqrt(np.where(defined, probability, 1.0))[:, None]
-    levels = np.arange(output.shape[-1])
-    mean_a_abs = np.abs(np.vecdot(output[:, :-1], np.sqrt(levels[1:]) * output[:, 1:]))
-    # mean_a_abs, g_eff, fidelity_eff, fidelity_energy, fidelity_ideal
-    metrics = np.full((5, len(outcomes)), np.nan)
-    metrics[0, defined] = mean_a_abs[defined]
-
-    rows = np.flatnonzero(defined)
-    if cfg.alpha != 0 and rows.size:
-        alpha = np.complex128(cfg.alpha)
-        alpha_abs, psi = np.abs(alpha), output[rows]
-        g_eff = mean_a_abs[rows] / alpha_abs
-        mean_n = np.vecdot(psi, levels * psi).real
-        # real and imaginary parts apart: numpy's complex division overflows
-        # for subnormal |alpha|
-        phase = alpha.real / alpha_abs + 1j * (alpha.imag / alpha_abs)
-        # the comparison coherent states need room for their own amplitude;
-        # the three of every row are built as one block
-        target_dims = [max(out_dims[b], fock.default_dim(2.0 * alpha_abs)) for b in rows]
-        betas = np.stack([g_eff * alpha, np.sqrt(mean_n) * phase, np.full(rows.size, 2.0 * alpha)])
-        targets = fock.coherent_block(betas, target_dims)
-        width = min(targets.shape[-1], psi.shape[-1])
-        overlaps = np.vecdot(targets[..., :width], psi[:, :width])
-        metrics[1, rows] = g_eff
-        metrics[2:, rows] = overlaps.real**2 + overlaps.imag**2
-    return [
-        BranchResult(
-            outcome,
-            detector_adjusted(float(probability[b]), *cfg.etas),
-            FockState(output[b, : out_dims[b]]) if defined[b] else None,
-            *metrics[:, b].tolist(),
-        )
-        for b, outcome in enumerate(outcomes)
-    ]
-
-
-def _propagate(amps: np.ndarray, rs, outcomes) -> list[np.ndarray]:
-    """The three Kraus steps of each detection pattern on a block of input states.
-
-    Returns one output block per pattern in `outcomes`; patterns that begin
-    with the same readings share the steps for those readings.
-    """
-    # the widest step has the input's levels plus the largest QND reading,
-    # and no count exceeds the largest reading
-    top = max(max(outcome) for outcome in outcomes)
-    log_factorial = _log_factorials(amps.shape[-1] + top + 1)
-    states = {(): amps}
-    for stage in range(3):
-        prefixes = dict.fromkeys(outcome[: stage + 1] for outcome in outcomes)
-        # the photons counted nondestructively are added back at splitter 2
-        states = {
-            p: _kraus(states[p[:-1]], rs[stage], p[-1], p[0] if stage == 1 else 0, log_factorial)
-            for p in prefixes
-        }
-    return [states[outcome] for outcome in outcomes]
-
-
 def run_branch(cfg: SchemeConfig, outcome: tuple[int, int, int]) -> BranchResult:
-    """Evaluate one detection pattern end to end.
+    """Evaluate one detection pattern end to end on the truncated Fock space.
 
     Probability is the squared norm of the three Kraus steps applied to the
     input, scaled by the detector efficiencies when they are not all unity;
@@ -277,9 +210,51 @@ def run_branch(cfg: SchemeConfig, outcome: tuple[int, int, int]) -> BranchResult
     """
     if min(outcome) < 0 or max(outcome) >= cfg.effective_dim:
         raise ValueError("detector readings must lie in [0, effective_dim)")
-    psi = fock.coherent_block([cfg.alpha], cfg.effective_dim)
-    [block] = _propagate(psi, (cfg.r1, cfg.r2, cfg.r3), [outcome])
-    return _branch_results(cfg, [outcome], block)[0]
+    psi = fock.coherent_block(cfg.alpha, cfg.effective_dim)
+    # the widest step has the input's levels plus the QND reading, and no
+    # count exceeds the largest reading
+    log_factorial = _log_factorials(psi.size + max(outcome) + 1)
+    # the photons counted nondestructively are added back at splitter 2
+    for r, n, ancilla in zip((cfg.r1, cfg.r2, cfg.r3), outcome, (0, outcome[0], 0)):
+        psi = _kraus(psi, r, n, ancilla, log_factorial)
+    probability = np.vecdot(psi, psi).real
+    if not probability >= 1e-300:
+        return BranchResult(outcome, 0.0, None, *[math.nan] * 5)
+    output = psi / np.sqrt(probability)
+    levels = np.arange(output.size)
+    mean_a_abs = float(np.abs(np.vecdot(output[:-1], np.sqrt(levels[1:]) * output[1:])))
+    g_eff, fidelities = math.nan, [math.nan] * 3
+    if cfg.alpha != 0:
+        alpha = np.complex128(cfg.alpha)
+        alpha_abs = np.abs(alpha)
+        g_eff = mean_a_abs / alpha_abs
+        mean_n = np.vecdot(output, levels * output).real
+        # real and imaginary parts apart: numpy's complex division overflows
+        # for subnormal |alpha|
+        phase = alpha.real / alpha_abs + 1j * (alpha.imag / alpha_abs)
+        # the comparison coherent states need room for their own amplitude
+        target_dim = max(output.size, fock.default_dim(2.0 * alpha_abs))
+        targets = fock.coherent_block(
+            [g_eff * alpha, np.sqrt(mean_n) * phase, 2.0 * alpha], target_dim
+        )
+        overlaps = np.vecdot(targets[:, : output.size], output)
+        fidelities = (overlaps.real**2 + overlaps.imag**2).tolist()
+    return BranchResult(
+        outcome,
+        detector_adjusted(float(probability), *cfg.etas),
+        FockState(output),
+        mean_a_abs,
+        float(g_eff),
+        *fidelities,
+    )
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+# n_pd1 + n_pd2 of each pattern in BRANCH_ORDER
+_DETECTED = np.array([n_pd1 + n_pd2 for _, n_pd1, n_pd2 in BRANCH_ORDER])
 
 
 def enumerate_single_photon_branches(
@@ -287,18 +262,99 @@ def enumerate_single_photon_branches(
 ) -> tuple[list[BranchResult], float]:
     """All eight 0/1 detection patterns plus the aggregated remainder.
 
-    The input state is built once and each stage prefix once (2, then 4,
-    then 8 states), and the eight outputs' metrics are computed as one
-    block.  The remainder is the probability that some detector saw more
-    than one photon; with ideal detectors the eight branches and the
-    remainder sum to one.
+    Every output is (u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, so a
+    pattern is two coefficients (u, v), and each metric of `run_branch` is
+    array math on them over the eight rows: no Kraus step is applied and no
+    comparison state is built.  The probability, ⟨a⟩, ⟨n⟩ and fidelities
+    are exact, and the output is u⟨n|gamma⟩ + v√n⟨n−1|gamma⟩ on
+    effective_dim + n_qnd levels, cut to the image of the input truncated at
+    effective_dim (zero from effective_dim − n_pd1 − n_pd2 up) and
+    normalized by its own norm; a pattern that leaves that image no level is
+    unreachable, as in `run_branch`.  The input's truncation is checked as
+    there, so an inadequate `dim` raises TruncationError.
+
+    The remainder is the probability that some detector saw more than one
+    photon; with ideal detectors the eight branches and the remainder sum to
+    one.
     """
     dim = cfg.effective_dim
-    psi = fock.coherent_block([cfg.alpha], dim)
-    block = np.zeros((len(BRANCH_ORDER), dim + 1), dtype=complex)
-    for row, out in zip(block, _propagate(psi, (cfg.r1, cfg.r2, cfg.r3), BRANCH_ORDER)):
-        row[: out.shape[-1]] = out[0]
-    branches = _branch_results(cfg, BRANCH_ORDER, block)
+    alpha = complex(cfg.alpha)
+    r1, r2, r3 = cfg.r1, cfg.r2, cfg.r3
+    t2, t3 = math.sqrt(1.0 - r2 * r2), math.sqrt(1.0 - r3 * r3)
+    gamma1 = math.sqrt(1.0 - r1 * r1) * alpha
+    gamma2 = t2 * gamma1
+    gamma = t3 * gamma2
+    # ⟨n|gamma⟩ on the widest output's levels, in one cumulative product with
+    # the input, which is there for its tail check only (|gamma| <= |alpha|,
+    # so gamma's tail is never the larger)
+    _, coherent = fock.coherent_block([alpha, gamma], [dim, dim + 1])
+
+    # t^n̂ |c⟩ = e^(−r²|c|²/2) |t c⟩, so the three splitters scale every
+    # pattern by e, and each stage maps the (u, v) of a reading prefix
+    # linearly: a (u + v a†)|c⟩ = (c u + v + c v a†)|c⟩, t^n̂ a† = t a† t^n̂
+    e = math.exp(
+        -0.5 * (r1 * r1 * _abs2(alpha) + r2 * r2 * _abs2(gamma1) + r3 * r3 * _abs2(gamma2))
+    )
+    start = (e, r1 * alpha * e)
+    # splitter 2 adds the QND count back, K_k(n) with k = n_qnd
+    after2 = {
+        (0, 0): (start[0], 0.0),
+        (0, 1): (r2 * gamma1 * start[0], 0.0),
+        (1, 0): (0.0, -r2 * start[1]),
+        (1, 1): (t2 * start[1], -r2 * r2 * gamma1 * start[1]),
+    }
+    rows = []
+    for n_qnd, n_pd1, n_pd2 in BRANCH_ORDER:
+        u, v = after2[n_qnd, n_pd1]
+        rows.append((r3 * (gamma2 * u + v), r3 * t3 * gamma2 * v) if n_pd2 else (u, t3 * v))
+    u, v = np.array(rows).T
+
+    # coefficients on the orthonormal pair D(gamma)|0⟩, D(gamma)|1⟩, since
+    # a†|gamma⟩ = D(gamma)(|1⟩ + gamma*|0⟩)
+    w0, w1 = u + v * gamma.conjugate(), v
+    probability = _abs2(w0) + _abs2(w1)
+    defined = (probability >= 1e-300) & (_DETECTED < dim)
+    probability[~defined] = 0.0
+    scale = 1.0 / np.sqrt(np.where(defined, probability, 1.0))
+    u, v, w0, w1 = u * scale, v * scale, w0 * scale, w1 * scale
+
+    # a D(gamma) = D(gamma)(a + gamma): a|psi⟩ has coefficients
+    # (gamma w0 + w1, gamma w1), and ⟨beta|psi⟩ is
+    # (w0 + w1 (beta − gamma)*) times ⟨beta|gamma⟩, of squared modulus
+    # e^(−|beta − gamma|²)
+    def fidelity(beta):
+        delta = beta - gamma
+        return _abs2(w0 + w1 * delta.conjugate()) * np.exp(-_abs2(delta))
+
+    # mean_a_abs, g_eff, fidelity_eff, fidelity_energy, fidelity_ideal
+    metrics = np.full((5, len(BRANCH_ORDER)), np.nan)
+    metrics[0] = np.abs(gamma + w0.conjugate() * w1)
+    if alpha != 0:
+        alpha_abs = abs(alpha)
+        g_eff = metrics[0] / alpha_abs
+        mean_n = _abs2(gamma * w0 + w1) + _abs2(gamma * w1)
+        phase = complex(alpha.real / alpha_abs, alpha.imag / alpha_abs)
+        metrics[1] = g_eff
+        betas = (g_eff * alpha, np.sqrt(mean_n) * phase, 2.0 * alpha)
+        metrics[2:] = [fidelity(beta) for beta in betas]
+    metrics[:, ~defined] = np.nan
+
+    levels = np.arange(dim + 1)
+    outputs = u[:, None] * coherent
+    # ⟨n|a†|gamma⟩ = √n ⟨n−1|gamma⟩
+    outputs[:, 1:] += v[:, None] * (np.sqrt(levels[1:]) * coherent[:-1])
+    # output level m comes from input level m + n_pd1 + n_pd2 alone
+    outputs *= levels < dim - _DETECTED[:, None]
+    outputs /= np.sqrt(np.where(defined, np.vecdot(outputs, outputs).real, 1.0))[:, None]
+    branches = [
+        BranchResult(
+            outcome,
+            detector_adjusted(float(probability[b]), *cfg.etas),
+            FockState(outputs[b, : dim + outcome[0]]) if defined[b] else None,
+            *metrics[:, b].tolist(),
+        )
+        for b, outcome in enumerate(BRANCH_ORDER)
+    ]
     total = sum(b.probability for b in branches)
     return branches, max(1.0 - total, 0.0)
 
@@ -348,9 +404,9 @@ def gain_fidelity_sweep(alpha_values, r_values) -> list[SweepRow]:
     splitters = [SplitterTriple.symmetric(float(r)) for r in r_values]
     rows = []
     for s in splitters:
-        t = s.transmission_product
+        t, loss = s.transmission_product, s.intensity_loss
         for alpha_abs in alphas.tolist():
-            p = p_succ_products(alpha_abs, t, s.reflection_product)
+            p = p_succ_products(alpha_abs, t, s.reflection_product, loss)
             if p >= 1e-300:
                 g_eff = g_eff_products(alpha_abs, t)
                 f_eff, f_ideal = (f_eff_conjectured(alpha_abs, s, g) for g in (g_eff, 2.0))

@@ -51,6 +51,13 @@ class TestTable1:
         assert by_state["1"][5] == "nan"
         assert float(by_state["1"][6]) == 0
 
+    @pytest.mark.parametrize("command", ["table1", "branches"])
+    def test_inadequate_dimension_is_numeric_failure(self, command, tmp_path, capsys):
+        # |alpha| = 3 leaves 3e-3 of the input above 10 levels
+        code = main([command, "--alpha", "3", "--dim", "10", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert "coherent tail mass" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["table1", "--out", str(a)])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nlamp import (
     f_eff_closed,
     f_eff_conjectured,
     g_eff_closed,
+    gain_fidelity_sweep,
     p_succ_closed,
     run_branch,
 )
@@ -48,6 +50,22 @@ class TestSuccessProbability:
             assert p_succ_closed(0.6, SplitterTriple(*perm)) == pytest.approx(
                 p_succ_closed(0.6, SplitterTriple(0.1, 0.3, 0.45)), rel=1e-14
             )
+
+
+    @pytest.mark.parametrize("alpha, r", [(1e9, 1e-9), (1e10, 1e-9), (2e77, 1e-77)])
+    def test_tiny_reflectivities_keep_the_gaussian_exponent(self, alpha, r):
+        # every t rounds to 1, but 1 - T^2 = 3r^2 - 3r^4 + r^6 sets
+        # e^(-(1 - T^2)|alpha|^2) to about e^-3, e^-300 and e^-12 here; at
+        # 2e77, |T alpha|^4 overflows, so the reference is formed in logs
+        x = (1.0 - r * r) ** 3 * alpha * alpha
+        loss = r * r * (3.0 - 3.0 * r * r + r**4)
+        expected = math.exp(
+            2.0 * math.log(x) + math.log1p((3.0 + 1.0 / x) / x)
+            + 2.0 * math.log(r**3 * alpha) - loss * alpha * alpha
+        )
+        [row] = gain_fidelity_sweep([alpha], [r])
+        assert row.p_succ == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert p_succ_closed(alpha, SplitterTriple.symmetric(r)) == row.p_succ
 
 
 class TestEffectiveGain:

@@ -15,6 +15,7 @@ from nlamp import (
     SUCCESS_OUTCOME,
     SchemeConfig,
     SplitterTriple,
+    TruncationError,
     coherence_check,
     coherent_state,
     enumerate_single_photon_branches,
@@ -146,6 +147,33 @@ class TestDegenerateInput:
             assert not branch.defined
         assert remainder == pytest.approx(0.0, abs=1e-14)
 
+    def test_outputs_are_the_image_of_the_truncated_input(self):
+        # of two input levels, a pattern with n_pd1 + n_pd2 = k keeps an
+        # image on 2 - k; at k = 2 there is none, and the pattern is
+        # unreachable
+        cfg = SchemeConfig.symmetric(1e-4 + 0j, 0.4, dim=2)
+        branches, _ = enumerate_single_photon_branches(cfg)
+        for branch in branches:
+            single = run_branch(cfg, branch.outcome)
+            assert branch.defined == single.defined == (branch.outcome[1:] != (1, 1))
+            if branch.defined:
+                np.testing.assert_allclose(
+                    branch.output.amps, single.output.amps, rtol=0, atol=1e-13
+                )
+
+
+class TestTruncation:
+    # at r = 0.8 the outputs' gamma = 0.65 would fit in 11 levels; the
+    # input alpha = 3 does not fit in 10
+    @pytest.mark.parametrize("r", [0.4, 0.8])
+    def test_inadequate_dimension_raises_on_both_routes(self, r):
+        cfg = SchemeConfig.symmetric(3.0 + 0j, r, dim=10)
+        with pytest.raises(TruncationError):
+            enumerate_single_photon_branches(cfg)
+        for outcome in BRANCH_ORDER:
+            with pytest.raises(TruncationError):
+                run_branch(cfg, outcome)
+
 
 class TestPhaseCovariance:
     def test_output_rotates_with_input_phase(self):
@@ -240,6 +268,14 @@ def assert_same_metric(got, want, label):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), label
 
 
+def assert_within_referee(got, want, label, floor):
+    """got within 1e-12 relative of want plus an absolute floor; NaN where NaN."""
+    if math.isnan(want):
+        assert math.isnan(got), label
+    else:
+        assert abs(got - want) <= 1e-12 * abs(want) + floor, (label, got, want)
+
+
 class TestBlockPropagation:
     """The batched and closed-form paths equal the one-row path row by row, up to rounding."""
 
@@ -276,6 +312,53 @@ class TestBlockPropagation:
                 assert math.isnan(row.g_eff)
                 assert math.isnan(row.f_eff)
                 assert math.isnan(row.f_ideal)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        amplitude=st.floats(0.0, 1.5),
+        phase=st.floats(-math.pi, math.pi),
+        rs=st.lists(st.floats(0.0, 0.9, exclude_max=True), min_size=3, max_size=3, unique=True),
+        extra_levels=st.one_of(st.none(), st.integers(0, 16)),
+        etas=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    )
+    # vacuum: only (0, 0, 0) is reachable, and gain and fidelities are NaN
+    @example(amplitude=0.0, phase=0.0, rs=[0.3, 0.4, 0.5], extra_levels=None, etas=(1.0, 1.0, 1.0))
+    # r1 = 0: the four QND = 1 patterns have P = 0 and no output
+    @example(amplitude=1.0, phase=0.7, rs=[0.0, 0.4, 0.6], extra_levels=3, etas=(1.0, 0.9, 0.8))
+    # every QND = 1 pattern is positive but below the 1e-300 floor
+    @example(
+        amplitude=1e-155, phase=-2.0, rs=[0.5, 0.6, 0.7], extra_levels=None, etas=(1.0, 1.0, 1.0)
+    )
+    def test_table_equals_run_branch(self, amplitude, phase, rs, extra_levels, etas):
+        cfg = SchemeConfig(amplitude * cmath.exp(1j * phase), *rs)
+        if extra_levels is not None:
+            cfg = SchemeConfig(cfg.alpha, *rs, dim=cfg.effective_dim + extra_levels)
+        cfg = SchemeConfig(cfg.alpha, *rs, dim=cfg.dim, etas=etas)
+        branches, _ = enumerate_single_photon_branches(cfg)
+        assert [b.outcome for b in branches] == list(BRANCH_ORDER)
+        for branch in branches:
+            single = run_branch(cfg, branch.outcome)
+            assert branch.defined == single.defined, branch.outcome
+            assert_same_metric(branch.probability, single.probability, "P")
+            # |<a>| and each overlap |<beta|psi>| are sums of terms of size
+            # about |alpha| and 1 that can cancel, and there both routes lose
+            # digits: those fields also pass within an absolute floor of
+            # 1e-15 on |<a>| / |alpha| and on g_eff, and 1e-14 on F / sqrt(F)
+            # (5e-15 on the overlap itself)
+            assert_within_referee(
+                branch.mean_a_abs, single.mean_a_abs, "|<a>|", 1e-15 * amplitude
+            )
+            assert_within_referee(branch.g_eff, single.g_eff, "g_eff", 1e-15)
+            for name in ("fidelity_eff", "fidelity_energy", "fidelity_ideal"):
+                want = getattr(single, name)
+                floor = 0.0 if math.isnan(want) else 1e-14 * math.sqrt(want)
+                assert_within_referee(getattr(branch, name), want, name, floor)
+            if branch.defined:
+                assert single.output.dim == cfg.effective_dim + branch.outcome[0]
+                assert branch.output.dim == single.output.dim
+                np.testing.assert_allclose(
+                    branch.output.amps, single.output.amps, rtol=0, atol=1e-13
+                )
 
     def test_enumerated_outputs_equal_run_branch(self):
         rng = np.random.default_rng(41)
