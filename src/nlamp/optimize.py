@@ -27,9 +27,12 @@ the neighbours of the best scan point.  Every step is deterministic.  The
 reported fidelity f_opt is the closed form as well, so no state is
 propagated.
 
-scipy.optimize is imported inside the two functions that call it, not at
-the top of this module: the import takes about 0.6 s, and the package and
-every other subcommand load this module without needing it.
+The root and the bounded search are math-only ports of Brent's two
+routines (R. P. Brent, Algorithms for Minimization without Derivatives,
+1973) as scipy.optimize implements them in `brentq` and
+`minimize_scalar(method="bounded")`: the same floating-point operations in
+the same order, so the results equal scipy's bit for bit, while the module
+needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ from .closed_forms import (
 from .errors import InfeasibleError
 
 SCAN_POINTS = 65
+# scipy.optimize.brentq's defaults, rtol being 4 machine epsilons
+ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 2e-12, 4.0 * math.ulp(1.0), 100
+SEARCH_XATOL, SEARCH_MAXFUN = 1e-12, 500
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,150 @@ def _transmission(r: float) -> float:
     return t * t * t
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    scipy.optimize.brentq (its C routine) with xtol=ROOT_XTOL and
+    rtol=ROOT_RTOL; raises RuntimeError after ROOT_MAXITER iterations, as
+    scipy does.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate; |fcur| < |fpre| keeps the divisor nonzero
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; where C divides by zero its infinite step is
+                # rejected below, as math.inf is
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {ROOT_MAXITER} iterations.")
+
+
+def _fminbound(f, x1: float, x2: float) -> tuple[float, float, bool]:
+    """Minimum of f on [x1, x2] by Brent's bounded search.
+
+    scipy.optimize.minimize_scalar(method="bounded") with xatol=SEARCH_XATOL
+    and maxiter=SEARCH_MAXFUN.  Returns (x, f(x), ok), where ok is False
+    when the evaluations ran out or a NaN appeared.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    fu = math.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + SEARCH_XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    ok = True
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # the test fails for q == 0, so the division is safe
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = -1 if rat < 0 else 1
+        x = xf + si * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + SEARCH_XATOL / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= SEARCH_MAXFUN:
+            ok = False
+            break
+
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        ok = False
+    return xf, fx, ok
+
+
 class _Reduced:
     """The problem on the line r1 = r2 = r3 = r with |alpha| eliminated."""
 
@@ -114,11 +264,7 @@ class _Reduced:
             raise InfeasibleError(f"no feasible point for g_eff0={self.g0}")
         if edge(r_hi) >= 0.0:
             return r_hi
-        # imported here, as in maximize: scipy.optimize takes about 0.6 s to
-        # import and no other subcommand needs it
-        from scipy.optimize import brentq
-
-        return brentq(edge, r_lo, r_hi)
+        return _brentq(edge, r_lo, r_hi)
 
     def alpha_star(self, r: float) -> float | None:
         """Best feasible |alpha| at shared reflectivity r; None if r is infeasible."""
@@ -156,24 +302,19 @@ def maximize(problem: OptProblem) -> OptResult:
     Raises InfeasibleError when no point of the box satisfies the gain
     constraint.
     """
-    from scipy.optimize import minimize_scalar
-
     reduced = _Reduced(problem)
     r_lo, r_hi = problem.r_bounds
-    scan = np.linspace(r_lo, reduced.r_top(r_lo, r_hi), SCAN_POINTS)
-    values = [reduced.p(float(r)) for r in scan]
+    scan = np.linspace(r_lo, reduced.r_top(r_lo, r_hi), SCAN_POINTS).tolist()
+    values = [reduced.p(r) for r in scan]
     k = int(np.argmax(values))
-    refined = minimize_scalar(
-        lambda r: -reduced.p(r),
-        bounds=(scan[max(k - 1, 0)], scan[min(k + 1, SCAN_POINTS - 1)]),
-        method="bounded",
-        options={"xatol": 1e-12},
+    r_ref, f_ref, ref_ok = _fminbound(
+        lambda r: -reduced.p(r), scan[max(k - 1, 0)], scan[min(k + 1, SCAN_POINTS - 1)]
     )
     # scan[0] is feasible and a refined point wins only with P > 0, so
     # alpha_star(r_opt) below is never None
-    r_opt, p_opt = float(scan[k]), values[k]
-    if -refined.fun > p_opt:
-        r_opt, p_opt = float(refined.x), -float(refined.fun)
+    r_opt, p_opt = scan[k], values[k]
+    if -f_ref > p_opt:
+        r_opt, p_opt = r_ref, -f_ref
     alpha_opt = float(reduced.alpha_star(r_opt))
 
     t = _transmission(r_opt)
@@ -186,7 +327,7 @@ def maximize(problem: OptProblem) -> OptResult:
             alpha_opt, SplitterTriple.symmetric(r_opt), g_eff_products(alpha_opt, t)
         ),
         g_eff0=problem.g_eff0,
-        converged=bool(refined.success) and slack >= -1e-8 and p_opt > 0,
+        converged=ref_ok and slack >= -1e-8 and p_opt > 0,
         iterations=reduced.evals,
     )
 

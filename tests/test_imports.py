@@ -1,4 +1,4 @@
-"""Which modules the subcommands load: scipy only for the optimizer, the CSV reader only for import_grid."""
+"""Which modules the subcommands load: never scipy, and the CSV reader only for import_grid."""
 
 import json
 import os
@@ -14,7 +14,7 @@ import nlamp
 # and the CSV reader already.  Prints whether the reader was loaded after
 # `import nlamp` and after the table1, branches and sweep subcommands, and
 # the scipy modules loaded after the non-optimizer subcommands, then after
-# one maximization.
+# one maximization and the optimize subcommand.
 SCRIPT = """
 import json, sys
 import nlamp, nlamp.cli
@@ -30,31 +30,52 @@ reader.append("nlamp._parse" in sys.modules)
 codes.append(main(["wigner", "--out", out]))
 before = scipy_modules()
 nlamp.maximize(nlamp.OptProblem(g_eff0=1.4))
+codes.append(main(["optimize", "--out", out]))
 print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(), "reader": reader}))
 """
 
 
-@pytest.fixture(scope="module")
-def loaded(tmp_path_factory):
+# Every subcommand on its defaults in a fresh interpreter where any scipy
+# import fails, as in an install without the test extra.
+BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+from nlamp.cli import main
+
+out = sys.argv[1]
+commands = ("table1", "branches", "sweep", "wigner", "optimize")
+print(json.dumps([main([command, "--out", out]) for command in commands]))
+"""
+
+
+def run_fresh(script, out):
     # the child imports the same nlamp as this session
     src = str(Path(nlamp.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path_factory.mktemp("out")
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(out)],
+        [sys.executable, "-c", script, str(out)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    return run_fresh(SCRIPT, tmp_path_factory.mktemp("out"))
+
+
 def test_simulator_subcommands_load_no_scipy(loaded):
-    assert loaded["codes"] == [0, 0, 0, 0]
+    assert loaded["codes"] == [0, 0, 0, 0, 0]
     assert loaded["before"] == []
 
 
-def test_maximize_loads_scipy_optimize(loaded):
-    assert "scipy.optimize" in loaded["after"]
+def test_maximize_loads_no_scipy(loaded):
+    assert loaded["after"] == []
+
+
+def test_every_subcommand_runs_with_scipy_import_blocked(tmp_path):
+    assert run_fresh(BLOCKED, tmp_path) == [0, 0, 0, 0, 0]
 
 
 def test_import_and_table_subcommands_load_no_csv_reader(loaded):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from nlamp import (
     InfeasibleError,
@@ -16,7 +18,9 @@ from nlamp import (
     run_branch,
     verify_symmetry,
 )
-from nlamp.optimize import _Reduced
+from nlamp import optimize
+from nlamp.closed_forms import f_eff_conjectured, g_eff_products
+from nlamp.optimize import SCAN_POINTS, _Reduced, _brentq, _fminbound, _transmission
 
 
 def closed_form_grid(alpha, t, r):
@@ -210,3 +214,190 @@ class TestThresholdMonotonicity:
             if previous is not None:
                 assert result.p_opt < previous
             previous = result.p_opt
+
+
+# the thresholds of the benchmark's optimize workload
+BENCH_THRESHOLDS = [float(g) for g in np.linspace(1.04, 1.96, 6)]
+
+
+def recorded(f):
+    """f, and the list of the points it is called at, as Python floats."""
+    calls = []
+
+    def g(x):
+        calls.append(float(x))
+        return f(x)
+
+    return g, calls
+
+
+def root_or_error(solve, f, a, b):
+    """The root or the error message, and the points f was called at."""
+    g, calls = recorded(f)
+    try:
+        return solve(g, a, b), calls
+    except RuntimeError as err:
+        return str(err), calls
+
+
+def scipy_bounded(f, x1, x2, maxiter=500):
+    """x, f(x), success and the points f was called at."""
+    g, calls = recorded(f)
+    res = minimize_scalar(
+        g, bounds=(x1, x2), method="bounded", options={"xatol": 1e-12, "maxiter": maxiter}
+    )
+    assert res.nfev == len(calls)
+    return float(res.x), float(res.fun), bool(res.success), calls
+
+
+def ported_bounded(f, x1, x2):
+    g, calls = recorded(f)
+    x, fx, ok = _fminbound(g, x1, x2)
+    assert type(ok) is bool
+    return x, fx, ok, calls
+
+
+def scipy_maximize(problem):
+    """maximize as written on scipy.optimize's brentq and minimize_scalar."""
+    reduced = _Reduced(problem)
+    r_lo, r_hi = problem.r_bounds
+
+    def edge(r):
+        return reduced.slack(reduced.alpha_lo, _transmission(r))
+
+    if edge(r_lo) < 0.0:
+        raise InfeasibleError(f"no feasible point for g_eff0={problem.g_eff0}")
+    r_top = r_hi if edge(r_hi) >= 0.0 else brentq(edge, r_lo, r_hi)
+    scan = np.linspace(r_lo, r_top, SCAN_POINTS)
+    values = [reduced.p(float(r)) for r in scan]
+    k = int(np.argmax(values))
+    refined = minimize_scalar(
+        lambda r: -reduced.p(r),
+        bounds=(scan[max(k - 1, 0)], scan[min(k + 1, SCAN_POINTS - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    r_opt, p_opt = float(scan[k]), values[k]
+    if -refined.fun > p_opt:
+        r_opt, p_opt = float(refined.x), -float(refined.fun)
+    alpha_opt = float(reduced.alpha_star(r_opt))
+    t = _transmission(r_opt)
+    slack = reduced.slack(alpha_opt, t)
+    return OptResult(
+        p_opt=p_opt,
+        alpha_opt=alpha_opt,
+        r_opt=(r_opt, r_opt, r_opt),
+        f_opt=f_eff_conjectured(
+            alpha_opt, SplitterTriple.symmetric(r_opt), g_eff_products(alpha_opt, t)
+        ),
+        g_eff0=problem.g_eff0,
+        converged=bool(refined.success) and slack >= -1e-8 and p_opt > 0,
+        iterations=reduced.evals,
+    )
+
+
+class TestBrentPorts:
+    """The math-only Brent routines equal scipy.optimize's bit for bit."""
+
+    def test_root_matches_brentq_on_the_feasibility_edge(self):
+        for g0 in np.linspace(1.01, 1.99, 50):
+            reduced = _Reduced(OptProblem(g_eff0=float(g0)))
+
+            def edge(r):
+                return reduced.slack(reduced.alpha_lo, _transmission(r))
+
+            assert root_or_error(_brentq, edge, 1e-6, 0.9) == root_or_error(
+                brentq, edge, 1e-6, 0.9
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c=st.floats(-10.0, 10.0),
+        below=st.floats(1e-6, 20.0),
+        above=st.floats(1e-6, 20.0),
+        slope=st.floats(0.0, 10.0),
+        cubic=st.floats(0.0, 10.0),
+        step=st.floats(0.0, 10.0),
+        sharpness=st.floats(0.01, 100.0),
+    )
+    def test_root_matches_brentq_on_increasing_functions(
+        self, c, below, above, slope, cubic, step, sharpness
+    ):
+        def f(x):
+            d = x - c
+            return slope * d + cubic * d**3 + step * math.tanh(sharpness * d)
+
+        # a root at 0 can exhaust the iterations (x**3 does), and then both
+        # raise after the same calls
+        a, b = c - below, c + above
+        if f(a) >= 0.0 or f(b) <= 0.0:
+            return
+        assert root_or_error(_brentq, f, a, b) == root_or_error(brentq, f, a, b)
+
+    def test_root_raises_as_brentq_when_iterations_run_out(self, monkeypatch):
+        monkeypatch.setattr(optimize, "ROOT_MAXITER", 3)
+
+        def f(x):
+            return math.tanh(x - 0.3)
+
+        got = root_or_error(_brentq, f, -5.0, 5.0)
+        assert got == root_or_error(lambda *a: brentq(*a, maxiter=3), f, -5.0, 5.0)
+        assert got[0] == "Failed to converge after 3 iterations."
+
+    @pytest.mark.parametrize("g0", CLI_THRESHOLDS + BENCH_THRESHOLDS)
+    def test_search_matches_minimize_scalar_on_scan_brackets(self, g0):
+        reduced = _Reduced(OptProblem(g_eff0=g0))
+        scan = np.linspace(1e-6, reduced.r_top(1e-6, 0.9), SCAN_POINTS).tolist()
+        k = int(np.argmax([reduced.p(r) for r in scan]))
+        # the bracket maximize searches, and every eighth one besides
+        brackets = [(scan[max(k - 1, 0)], scan[min(k + 1, SCAN_POINTS - 1)])]
+        brackets += [(scan[j - 1], scan[j + 1]) for j in range(1, SCAN_POINTS - 1, 8)]
+
+        def f(r):
+            return -reduced.p(r)
+
+        for lo, hi in brackets:
+            assert ported_bounded(f, lo, hi) == scipy_bounded(f, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c=st.floats(-10.0, 10.0),
+        lo=st.floats(-20.0, 20.0),
+        width=st.floats(0.0, 30.0),
+        scale=st.floats(1e-3, 1e3),
+        power=st.floats(1.1, 6.0),
+        tilt=st.floats(-5.0, 5.0),
+        bend=st.floats(0.0, 5.0),
+        rate=st.floats(-2.0, 2.0),
+    )
+    def test_search_matches_minimize_scalar_on_convex_functions(
+        self, c, lo, width, scale, power, tilt, bend, rate
+    ):
+        # a sum of convex terms, so unimodal on any interval
+        def f(x):
+            return scale * abs(x - c) ** power + tilt * x + bend * math.exp(rate * x)
+
+        assert ported_bounded(f, lo, lo + width) == scipy_bounded(f, lo, lo + width)
+
+    def test_search_reports_failure_as_minimize_scalar_when_evaluations_run_out(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(optimize, "SEARCH_MAXFUN", 5)
+
+        def f(x):
+            return (x - 0.3) ** 2
+
+        got = ported_bounded(f, -5.0, 5.0)
+        assert got == scipy_bounded(f, -5.0, 5.0, maxiter=5)
+        assert got[2] is False and len(got[3]) == 5
+
+    @pytest.mark.parametrize("g0", CLI_THRESHOLDS + BENCH_THRESHOLDS)
+    def test_maximize_equals_the_scipy_driven_solver(self, g0):
+        result = maximize(OptProblem(g_eff0=g0))
+        assert result == scipy_maximize(OptProblem(g_eff0=g0))
+        assert type(result.converged) is bool
+
+    def test_maximize_equals_the_scipy_driven_solver_without_a_root(self):
+        # the whole reflectivity box is feasible, so r_top needs no root
+        problem = OptProblem(g_eff0=1.2, r_bounds=(0.01, 0.2))
+        assert maximize(problem) == scipy_maximize(problem)
