@@ -1,12 +1,16 @@
 """Exact '%.17g' formatting of float64 values, a block at a time in numpy.
 
-`format_17g` lays out each value as a fixed-width record of bytes, NULs
-marking unused slots, so that dropping the NULs gives the bytes of
-'%.17g' % v.  `export_grid` writes every W value through it.  Formatting
-one value at a time costs 0.6 µs at |v| = 0.1 and 1.2 µs at 1e-60 on a
-2-core Xeon, because 17 digits take CPython's dtoa past its 14-digit fast
-path into bignum arithmetic; a block of 4 096 values costs about 0.18 µs
-per value.
+`write_records` writes each value as a record of four little-endian 64-bit
+words, NULs marking unused bytes, so that dropping the NULs gives the bytes
+of '%.17g' % v and a newline; `format_17g` returns the records as bytes.
+`export_grid` has every W value written straight into its line buffer.
+Formatting one value at a time costs 0.6 µs at |v| = 0.1 and 1.2 µs at
+1e-60 on a 2-core Xeon, because 17 digits take CPython's dtoa past its
+14-digit fast path into bignum arithmetic.  In blocks of 8 192 values a
+value costs about 0.07 µs, half of it for its digits (`_decimal`) and half
+for its record: a lookup for word 0 (sign, "0." and zeros, first digit and
+point), two four-digit-group lookups each for words 1 and 2 (digits 1-16,
+up to the last non-zero one) and a lookup for word 3 (exponent, newline).
 """
 
 from __future__ import annotations
@@ -25,11 +29,6 @@ _SPLIT = 134217729.0  # 2**27 + 1
 # the scaled value, below 1e17, is off by at most about 3 2^-106 1e17 = 4e-15;
 # a fraction this close to one half may be a tie, which '%.17g' rounds to even
 _TIE = 1e-9
-# one formatted value: sign, "0.000", d0 . d1 . ... . d16, "e", exponent sign,
-# three exponent digits, newline; NUL marks an unused slot
-RECORD = 45
-
-
 @functools.cache
 def _tables():
     """10^q for q = 16 - X as (hi_hi, hi_lo, lo), and the four-digit group tables."""
@@ -104,6 +103,115 @@ def _decimal(values: np.ndarray):
     return r, x, fast | zero
 
 
+# one formatted value: four little-endian 64-bit words, NUL marking unused bytes
+RECORD = 32
+# word 0 by layout: d0 alone, d0 and a point, and "0." and up to three zeros ahead of d0
+_LEADS = (b"%d", b"%d.", b"0.%d", b"0.0%d", b"0.00%d", b"0.000%d")
+# the low k bytes of a word, k = 0 ... 8
+_FIRST = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_HALF = np.uint64(32)  # bits in half a word
+
+
+def _word(text: bytes) -> int:
+    """Up to eight bytes as a little-endian word, NUL-padded."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _words():
+    """The lookup tables of a record's four words.
+
+    lead[20 layout + 10 sign + d0] is word 0, the sign 1 for a minus and
+    the layout one of `_LEADS`.  quads[g] holds the four-digit group g in
+    the low half of a word: the first 10 000 entries stop at its last
+    non-zero digit, NULs in place of the zeros after it, and the next
+    10 000 hold all four digits, for a group that digits follow.  Indexed
+    by X - _X_MIN, layout is 20 times word 0's layout where digits follow
+    d0, and tail is word 3: "e±XX" and a newline for X < -4 or X > 16,
+    else the newline alone.
+    """
+    lead = [_word(sign + form % d) for form in _LEADS for sign in (b"", b"-") for d in range(10)]
+    groups, trailing = _tables()[3:]
+    full = groups.astype(np.uint64)
+    exponents = range(_X_MIN, _X_MAX + 1)
+    layout = [1 if x < -4 or x > 16 else 1 - x if x < 0 else int(x == 0) for x in exponents]
+    tail = [_word(b"e%+03d\n" % x if x < -4 or x > 16 else b"\n") for x in exponents]
+    return (np.array(lead, np.uint64), np.concatenate([full & _FIRST[4 - trailing], full]),
+            20 * np.array(layout, np.intp), np.array(tail, np.uint64))
+
+
+def _insert_point(w: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """w with a point before its byte `at`, the bytes from there on one byte higher."""
+    below = w & _FIRST.take(at)
+    return below | np.uint64(ord(".")) << 8 * at.astype(np.uint64) | (w ^ below) << np.uint64(8)
+
+
+def write_records(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the record of each value into the rows of out, an (n, 4) uint64 array.
+
+    out may be a strided view, such as the last four words of each line of
+    a buffer.  Word 0 holds the sign, the "0." and zeros ahead of X < 0, d0
+    and the point after it; words 1 and 2 hold digits 1-8 and 9-16 through
+    the last non-zero one; word 3 holds the exponent and the newline, or the
+    newline alone.  Each word is one or two lookups in `_words`' tables
+    and is written as one column.  For 1 <= |v| < 1e17 the point follows
+    digit X >= 1 instead: every digit through X shows, and a shift of
+    words 1-2 by one byte, into word 3, makes room for a point.
+    """
+    lead, quads, layout, tail = _words()
+    r, x, fast = _decimal(values)
+    # r is the digit d0 and the four-digit groups g0 ... g3; g1 and g3 start
+    # as d0 g0 g1 and g2 g3, and each split leaves the remainder in place
+    g1 = r // 10**8
+    g3 = r - g1 * 10**8
+    del r
+    g0 = g1 // 10**4
+    g1 -= g0 * 10**4
+    d0 = g0 // 10**4
+    g0 -= d0 * 10**4
+    g2 = g3 // 10**4
+    g3 -= g2 * 10**4
+    # a group shows all four digits where a later one shows any, so the
+    # words end at the last non-zero digit
+    w2 = quads.take(g2 + (g3 != 0) * 10**4) | quads.take(g3) << _HALF
+    more = w2 != 0
+    w1 = quads.take(g0 + ((g1 != 0) | more) * 10**4) | quads.take(g1 + more * 10**4) << _HALF
+    x -= _X_MIN
+    form = layout.take(x)
+    form -= ((form == 20) & (w1 == 0)) * 20  # no point after d0 that no digit follows
+    form += np.signbit(values) * 10
+    form += d0
+    out[:, 0] = lead.take(form)
+    out[:, 1] = w1
+    out[:, 2] = w2
+    out[:, 3] = tail.take(x)
+    x += _X_MIN
+    whole = np.flatnonzero((x > 0) & (x < 17))
+    if whole.size:
+        at = x[whole]
+        m1, m2 = _FIRST.take(np.minimum(at, 8)), _FIRST.take(np.maximum(at - 8, 0))
+        w1, w2 = w1[whole], w2[whole]
+        point = ((w1 & ~m1) | (w2 & ~m2)) != 0
+        w1 |= (quads.take(g0[whole] + 10**4) | quads.take(g1[whole] + 10**4) << _HALF) & m1
+        w2 |= (quads.take(g2[whole] + 10**4) | quads.take(g3[whole] + 10**4) << _HALF) & m2
+        first, at = point & (at < 8), at % 8
+        out[whole, 1] = np.where(first, _insert_point(w1, at), w1)
+        out[whole, 2] = np.where(first, w2 << np.uint64(8) | w1 >> np.uint64(56),
+                                 np.where(point, _insert_point(w2, at), w2))
+        newline = np.uint64(ord("\n"))
+        out[whole, 3] = np.where(point, w2 >> np.uint64(56) | newline << np.uint64(8), newline)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = _fallback(values[slow])
+
+
+def _fallback(values: np.ndarray) -> np.ndarray:
+    """The records of values that '%.17g' itself formats, as an (n, 4) uint64 array."""
+    texts = [b"%.17g" % v for v in values.tolist()]
+    text = b"".join(t.ljust(RECORD - 1, b"\0") + b"\n" for t in texts)
+    return np.frombuffer(text, "<u8").reshape(-1, 4)
+
+
 def format_17g(values: np.ndarray) -> np.ndarray:
     """'%.17g' % v and a newline for each v, as an (n, RECORD) uint8 array.
 
@@ -113,59 +221,11 @@ def format_17g(values: np.ndarray) -> np.ndarray:
     corrected by one where log10 rounded across a power of ten.  Their layout
     follows %g: X < -4 or X > 16 gives d.ddd e±XX, otherwise positional
     notation with "0." and up to three zeros ahead of X < 0, trailing
-    fraction zeros dropped.  '%.17g' % v itself formats only the values this
-    cannot decide: NaN, ±inf, 0 < |v| < 1e-290, |v| >= 1e290, and values whose
-    digits beyond the 17th lie within _TIE of one half.
+    fraction zeros dropped; `write_records` lays it out.  '%.17g' % v itself
+    formats only the values this cannot decide: NaN, ±inf, 0 < |v| < 1e-290,
+    |v| >= 1e290, and values whose digits beyond the 17th lie within _TIE of
+    one half.
     """
-    n = values.size
-    quads, trailing = _tables()[3:]
-    r, x, fast = _decimal(values)
-    # r is the digit d0 and the four-digit groups g[0..3], each exact in float64
-    top = r // 10**8
-    upper, lower = top.astype(float), (r - top * 10**8).astype(float)
-    d0 = np.floor(upper / 1e8)
-    upper -= 1e8 * d0
-    g = np.empty((4, n))
-    g[0] = np.floor(upper / 1e4)
-    g[1] = upper - 1e4 * g[0]
-    g[2] = np.floor(lower / 1e4)
-    g[3] = lower - 1e4 * g[2]
-    g = g.astype(np.intp)
-    # zeros that end r: past an all-zero group, count on into the one before it
-    zeros = trailing[g[3]]
-    for k in (2, 1, 0):
-        zeros = np.where(zeros == 12 - 4 * k, zeros + trailing[g[k]], zeros)
-
-    expo = (x < -4) | (x > 16)
-    small = (x < 0) & ~expo
-    # the point follows digit `point`; for 1e-4 <= |v| < 1 it is in the "0." ahead
-    point = np.where(expo, 0, np.where(small, -1, x)).astype(np.int8)
-    # every digit before the point shows, and the rest through the last non-zero one
-    shown = np.maximum(17 - zeros, point + 1)
-    out = np.zeros((RECORD, n), np.uint8)
-    out[0] = np.signbit(values) * np.uint8(ord("-"))
-    out[1] = small * np.uint8(ord("0"))
-    out[2] = small * np.uint8(ord("."))
-    for k in (1, 2, 3):
-        out[2 + k] = (small & (x < -k)) * np.uint8(ord("0"))
-    digits = out[6:39:2]
-    digits[0] = d0 + ord("0")
-    for k in range(4):
-        digits[1 + 4 * k : 5 + 4 * k] = quads[g[k]].view(np.uint8).reshape(n, 4).T
-    rank = np.arange(17, dtype=np.int8)[:, None]
-    digits *= rank < shown
-    out[7:39:2] = ((rank[:16] == point) & (shown > point + 1)) * np.uint8(ord("."))
-    ax = np.abs(x)
-    out[39] = expo * np.uint8(ord("e"))
-    out[40] = np.where(expo, np.where(x < 0, ord("-"), ord("+")), 0)
-    out[41] = np.where(expo & (ax >= 100), ord("0") + ax // 100, 0)
-    out[42] = np.where(expo, ord("0") + ax // 10 % 10, 0)
-    out[43] = np.where(expo, ord("0") + ax % 10, 0)
-    out[44] = ord("\n")
-    out = out.T
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = [b"%.17g" % v for v in values[slow].tolist()]
-        text = b"".join(t.ljust(RECORD - 1, b"\0") + b"\n" for t in texts)
-        out[slow] = np.frombuffer(text, np.uint8).reshape(-1, RECORD)
-    return out
+    out = np.empty((values.size, 4), "<u8")
+    write_records(values, out)
+    return out.view(np.uint8)

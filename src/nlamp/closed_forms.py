@@ -155,7 +155,10 @@ def f_eff_conjectured(alpha_abs: float, s: SplitterTriple, g_eff: float) -> floa
     (1 + gamma beta*) ⟨beta|gamma⟩ with |⟨beta|gamma⟩|^2 =
     e^(-|beta - gamma|^2).  For beta = g alpha, in phase with gamma,
     F = (1 + g T |a|^2)^2 e^(-(g - T)^2 |a|^2) / N^2: F_eff at g = g_eff,
-    and the fidelity with the ideal output |2 alpha⟩ at g = 2.
+    and the fidelity with the ideal output |2 alpha⟩ at g = 2.  F is the
+    squared overlap of two unit vectors, at most 1 by Cauchy-Schwarz; where
+    F is 1 to rounding, as at |a| = 1e7, r = 1e-9, the quotient can come out
+    an ulp above it, so the result is capped at 1, and no value below 1 moves.
     """
     if not alpha_abs >= 0:
         raise ValueError("alpha_abs must be non-negative")
@@ -165,7 +168,8 @@ def f_eff_conjectured(alpha_abs: float, s: SplitterTriple, g_eff: float) -> floa
     numerator = (
         1.0 + 2.0 * g_eff * big_t * a2 + g_eff * g_eff * big_t * big_t * a2 * a2
     ) * math.exp(-((g_eff - big_t) ** 2) * a2)
-    return numerator / (1.0 + 3.0 * ta2 + ta2 * ta2)
+    f = numerator / (1.0 + 3.0 * ta2 + ta2 * ta2)
+    return 1.0 if f > 1.0 else f
 
 
 def detector_adjusted(p: float, eta_qnd: float, eta_pd1: float, eta_pd2: float) -> float:

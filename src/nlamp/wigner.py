@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._format import RECORD, format_17g
+from ._format import RECORD, write_records
 from .errors import BoundaryMassError, GridMismatchError
 from .fock import FockState
 
@@ -63,11 +63,6 @@ class WignerGrid:
         object.__setattr__(self, "values", values)
 
 
-def _mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    x, p = spec.axes()
-    return np.meshgrid(x, p, indexing="ij")
-
-
 def _orientation(spec: GridSpec) -> float:
     """-1 if exactly one axis runs downwards, else 1.
 
@@ -90,9 +85,9 @@ def integrate(grid: WignerGrid) -> float:
 
 def wigner_coherent(alpha: complex, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
     """W of |alpha⟩: a Gaussian of height 1/pi centered at sqrt(2)(Re, Im)alpha."""
-    xg, pg = _mesh(spec)
+    x, p = spec.axes()
     w = np.exp(
-        -((xg - math.sqrt(2) * alpha.real) ** 2) - (pg - math.sqrt(2) * alpha.imag) ** 2
+        -((x[:, None] - math.sqrt(2) * alpha.real) ** 2) - (p - math.sqrt(2) * alpha.imag) ** 2
     ) / math.pi
     return WignerGrid(spec, w)
 
@@ -101,8 +96,8 @@ def wigner_fock(n: int, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
     """W of |n⟩: ((-1)^n / pi) e^{-x^2-p^2} L_n(2x^2 + 2p^2)."""
     if n < 0:
         raise ValueError("photon number must be non-negative")
-    xg, pg = _mesh(spec)
-    u = 2.0 * (xg * xg + pg * pg)
+    x, p = spec.axes()
+    u = 2.0 * ((x * x)[:, None] + p * p)
     w = ((-1) ** n / math.pi) * np.exp(-0.5 * u) * _laguerre(n, u)
     return WignerGrid(spec, w)
 
@@ -170,6 +165,12 @@ def _nodes(xr: np.ndarray, dx: float, reach: float):
     return q, 2 * n_y - 1, 1, n_y, h_max
 
 
+def _within(axis: np.ndarray, reach: float) -> slice:
+    """The points of a monotone axis with |value| <= reach: one run of indices."""
+    inside = np.flatnonzero(np.abs(axis) <= reach)
+    return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+
+
 def wigner_of_state(state: FockState, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
     """W of an arbitrary truncated pure state from its wavefunction.
 
@@ -196,11 +197,11 @@ def wigner_of_state(state: FockState, spec: GridSpec = DEFAULT_GRID) -> WignerGr
     """
     reach = math.sqrt(2 * state.dim + 1) + 8.0
     x, p = spec.axes()
-    rows, cols = np.abs(x) <= reach, np.abs(p) <= reach
+    rows, cols = _within(x, reach), _within(p, reach)
+    xr, pc = x[rows], p[cols]
     w = np.zeros((spec.n_x, spec.n_p))
-    if rows.any() and cols.any():
+    if xr.size and pc.size:
         dx = (spec.x_max - spec.x_min) / (spec.n_x - 1) if spec.n_x > 1 else 0.0
-        xr = x[rows]
         q, m, k, n_y, h = _nodes(xr, dx, reach)
         # psi[0] is psi at the first row; the views step back from it, never out of q
         psi = _wavefunction(state.amps, q)[(n_y - 1) * abs(k):]
@@ -210,7 +211,7 @@ def wigner_of_state(state: FockState, spec: GridSpec = DEFAULT_GRID) -> WignerGr
         f = np.conj(plus) * minus
         f[:, 0] *= 0.5
         y = h * np.arange(n_y)
-        w[np.ix_(rows, cols)] = (f @ np.exp(2j * np.outer(y, p[cols]))).real * (2.0 * h / math.pi)
+        w[rows, cols] = (f @ np.exp(2j * np.outer(y, pc))).real * (2.0 * h / math.pi)
     return WignerGrid(spec, w)
 
 
@@ -252,15 +253,42 @@ def expect_a_grid(grid: WignerGrid) -> complex:
     return _orientation(grid.spec) * complex(mean_x, mean_p) / math.sqrt(2)
 
 
-_BLOCK = 4096  # W values formatted at once
+_BLOCK = 8192  # W values formatted at once
 
 
 def _prefixes(axis: np.ndarray) -> np.ndarray:
-    """Each "%.17g," of an axis as a NUL-padded row of bytes."""
+    """Each "%.17g," of an axis as one NUL-padded byte string."""
     texts = [b"%.17g," % v for v in axis.tolist()]
     width = max(map(len, texts))
-    padded = b"".join(t.ljust(width, b"\0") for t in texts)
-    return np.frombuffer(padded, np.uint8).reshape(-1, width)
+    return np.array([t.ljust(width, b"\0") for t in texts], f"V{width}")
+
+
+def _write_lines(grid: WignerGrid, write) -> None:
+    """Pass the CSV lines after the header to write as bytes, a block of whole x rows at a time.
+
+    Every line "x,p_j,w\n" is a NUL-padded line of one buffer: the row's x
+    prefix, the column's p prefix and the value's four-word record, which
+    `_format.write_records` writes through a strided view.  The buffer is
+    allocated once and its p prefixes filled once; each block fills the x
+    prefixes and records of its rows, and one `translate` drops its NULs.
+    """
+    spec = grid.spec
+    x, p = spec.axes()
+    xs, ps = _prefixes(x), _prefixes(p)
+    rows = min(spec.n_x, max(1, _BLOCK // spec.n_p))
+    width = xs.itemsize + ps.itemsize + RECORD
+    buffer = bytearray(rows * spec.n_p * width)
+    line = (spec.n_p * width, width)
+    np.ndarray((rows, spec.n_p), ps.dtype, buffer, xs.itemsize, line)[:] = ps
+    x_prefixes = np.ndarray((rows, spec.n_p), xs.dtype, buffer, 0, line)
+    records = np.ndarray((rows * spec.n_p, 4), "<u8", buffer, width - RECORD, (width, 8))
+    for start in range(0, spec.n_x, rows):
+        w = grid.values[start : start + rows]
+        x_prefixes[: len(w)] = xs[start : start + rows, None]
+        write_records(w.ravel(), records[: w.size])
+        # a last, shorter block is a copy of the front of the buffer
+        block = buffer if len(w) == rows else buffer[: w.size * width]
+        write(block.translate(None, b"\0"))
 
 
 def export_grid(grid: WignerGrid, destination) -> None:
@@ -268,67 +296,67 @@ def export_grid(grid: WignerGrid, destination) -> None:
 
     Rows are emitted row-major with x as the outer index, each number as
     '%.17g' formats it, locale independent.  The W values go through
-    `format_17g` in blocks of whole x rows, about _BLOCK values each: every
-    line "x,p_j,w\n" is a NUL-padded record of the row's x prefix, the
-    column's p prefix and the value's formatted slots, and one `translate`
-    drops the NULs of a block, which is written at once, so memory stays at
-    one block of text.  The bytes are those of '%.17g' % w, which itself
-    formats only NaN, ±inf, 0 < |w| < 1e-290, |w| >= 1e290 and the values
-    whose digits beyond the 17th lie within 1e-9 of one half.
+    `_format.write_records` in blocks of whole x rows, about _BLOCK values
+    each (see `_write_lines`), and each block is written at once, so memory
+    stays at one block of text.  A path is written in binary, a block's
+    bytes as they are; an open file is taken to be a text file and gets
+    str.  The bytes are those of '%.17g' % w, which itself formats only
+    NaN, ±inf, 0 < |w| < 1e-290, |w| >= 1e290 and the values whose digits
+    beyond the 17th lie within 1e-9 of one half.
     """
-    if not hasattr(destination, "write"):
-        with open(destination, "w", newline="") as fh:
-            return export_grid(grid, fh)
     spec = grid.spec
-    x, p = spec.axes()
     # header carries the grid geometry: x_min,x_max,p_min,p_max,nx,np
     header = ",".join(f"{v:.17g}" for v in (spec.x_min, spec.x_max, spec.p_min, spec.p_max))
-    destination.write(f"{header},{spec.n_x},{spec.n_p}\n")
-    xs, ps = _prefixes(x), _prefixes(p)
-    rows = max(1, _BLOCK // spec.n_p)
-    for start in range(0, spec.n_x, rows):
-        w = grid.values[start : start + rows]
-        shape = (*w.shape, xs.shape[1] + ps.shape[1] + RECORD)
-        text = bytearray(math.prod(shape))
-        lines = np.frombuffer(text, np.uint8).reshape(shape)
-        lines[..., : xs.shape[1]] = xs[start : start + rows, None]
-        lines[..., xs.shape[1] : -RECORD] = ps
-        lines[..., -RECORD:] = format_17g(w.ravel()).reshape(*w.shape, RECORD)
-        destination.write(text.translate(None, b"\0").decode("ascii"))
+    header = f"{header},{spec.n_x},{spec.n_p}\n"
+    if hasattr(destination, "write"):
+        destination.write(header)
+        _write_lines(grid, lambda block: destination.write(block.decode("ascii")))
+        return
+    with open(destination, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        _write_lines(grid, fh.write)
 
 
 def import_grid(source) -> WignerGrid:
     """Read a grid written by export_grid, from a path or an open text file.
 
     Raises ValueError unless exactly nx * np rows follow the header and
-    every W value is a number.  After an ASCII header, `_parse.read_w`
-    decodes the W column of a path in chunks of whole lines, bit for bit as
-    np.loadtxt would and in under half its time.  A file it does not take
-    (CRLF line ends, blank lines, spaces, a fourth column, a W such as
-    "+1", ".5" or "1E5", no final newline, non-ASCII text, or a row count
-    other than nx * np) goes to `np.loadtxt` as a path, whose C reader
-    parses it in chunks, so it parses or fails as it always has.  An open
-    file is read by `np.loadtxt` through its handle, line by line.
+    every W value is a number.  A path is opened once, in binary; its header
+    ends as a text-mode line does, at "\n", "\r\n" or a lone "\r".  After an
+    ASCII header, `_parse.read_w` decodes the W column from the same handle
+    in chunks of whole lines, bit for bit as np.loadtxt would and in under
+    half its time.  A file it does not take (CRLF line ends, blank lines,
+    spaces, a fourth column, a W such as "+1", ".5" or "1E5", no final
+    newline, non-ASCII text, or a row count other than nx * np) goes to
+    `np.loadtxt` as a path, whose C reader parses it in chunks, so it parses
+    or fails as it always has.  An open file is read by `np.loadtxt`
+    through its handle, line by line.
     """
-    from_path = not hasattr(source, "read")
-    if from_path:
-        with open(source, newline="") as fh:
-            header = fh.readline()
+    if hasattr(source, "read"):
+        spec = _header_spec(source.readline())
+        values = np.loadtxt(source, delimiter=",", usecols=2, ndmin=1)
     else:
-        header = source.readline()
+        with open(source, "rb") as fh:
+            line = fh.readline()
+            cr = line.find(b"\r")
+            if cr >= 0 and line[cr + 1 : cr + 2] != b"\n":
+                line = line[: cr + 1]
+                fh.seek(len(line))
+            spec = _header_spec(line.decode())
+            values = None
+            if line.isascii():
+                from . import _parse
+
+                values = _parse.read_w(fh, spec.n_x * spec.n_p)
+        if values is None:
+            values = np.loadtxt(source, delimiter=",", usecols=2, ndmin=1, skiprows=1)
+    # reshape raises ValueError unless exactly nx * np rows were read
+    return WignerGrid(spec, values.reshape(spec.n_x, spec.n_p))
+
+
+def _header_spec(header: str) -> GridSpec:
+    """The grid of a header "x_min,x_max,p_min,p_max,nx,np"."""
     bounds = header.split(",")
     if len(bounds) != 6:
         raise ValueError("not a Wigner grid CSV")
-    spec = GridSpec(*map(float, bounds[:4]), int(bounds[4]), int(bounds[5]))
-    values = None
-    if from_path and header.isascii():
-        from . import _parse
-
-        # an ASCII header is as many bytes as characters
-        with open(source, "rb") as fh:
-            fh.seek(len(header))
-            values = _parse.read_w(fh, spec.n_x * spec.n_p)
-    if values is None:
-        values = np.loadtxt(source, delimiter=",", usecols=2, ndmin=1, skiprows=int(from_path))
-    # reshape raises ValueError unless exactly nx * np rows were read
-    return WignerGrid(spec, values.reshape(spec.n_x, spec.n_p))
+    return GridSpec(*map(float, bounds[:4]), int(bounds[4]), int(bounds[5]))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlamp import (
     SUCCESS_OUTCOME,
@@ -134,6 +136,20 @@ class TestEffectiveFidelity:
                 conjectured = f_eff_conjectured(alpha, s, g_eff_closed(alpha, s))
                 branch = run_branch(SchemeConfig.symmetric(complex(alpha), r), SUCCESS_OUTCOME)
                 assert abs(conjectured - branch.fidelity_eff) < 1e-10
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e8), st.floats(1e-9, 0.9))
+    @example(1e7, 1e-9)
+    def test_fidelity_is_a_probability(self, alpha, r):
+        # a squared overlap of unit vectors: rounding may not push it past 1
+        s = SplitterTriple.symmetric(r)
+        for g in (g_eff_closed(alpha, s), 2.0):
+            assert 0.0 <= f_eff_conjectured(alpha, s, g) <= 1.0
+
+    def test_sweep_fidelity_at_one_stays_at_one(self):
+        (row,) = gain_fidelity_sweep([1e7], [1e-9])
+        assert row.f_eff == 1.0
 
 
 class TestDetectorAdjustment:

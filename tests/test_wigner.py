@@ -461,6 +461,99 @@ class TestFormatter:
         assert peak < 4 * 2**20
 
 
+# every layout of '%.17g': zeros, subnormals, NaN and infinities, two- and
+# three-digit exponents, "0." and zero to three zeros ahead of the digits,
+# and the point after digit X = 0 ... 16, with and without a fraction
+LAYOUT_VALUES = [
+    0.0, 5e-324, 2.2250738585072009e-308, math.nan, math.inf,
+    1.5e-05, 9.9999999999999991e-05, 3e17, 1.2345678901234567e-99, 1e99,
+    1e-100, 2.5e200, 1.2345678901234567e-290, 7e289,
+    *[d / 10.0**k for k in range(4) for d in (0.5, 1 / 3, 0.1234)],
+    *[m * 10.0**k for k in range(17) for m in (1.0, 1.5, 1.2345678901234567)],
+    12.5, 1000000000000000.5, 9.9999999999999984e16,
+]
+
+
+def percent_lines(grid):
+    """Each line of the grid's CSV body as per-value formatting writes it."""
+    x, p = grid.spec.axes()
+    pairs = ((xi, pj, w) for xi, row in zip(x, grid.values) for pj, w in zip(p, row))
+    return [f"{xi:.17g},{pj:.17g},{w:.17g}" for xi, pj, w in pairs]
+
+
+def layout_grids():
+    """Grids of n_p above the block size, of n_p not dividing it, and of one value."""
+    block = nlamp.wigner._BLOCK
+    rng = np.random.default_rng(26)
+    grids = []
+    for spec in (GridSpec(-1e-7, 3e5, -2, 1e-3, 2, block + 5), GridSpec(6, -6, -8, 8, 11, 1000)):
+        size = spec.n_x * spec.n_p
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-320, 300, size)
+        values[: 2 * len(LAYOUT_VALUES)] = LAYOUT_VALUES + [-v for v in LAYOUT_VALUES]
+        grids.append(WignerGrid(spec, values.reshape(spec.n_x, spec.n_p)))
+    grids.append(WignerGrid(GridSpec(0.5, 0.5, -1, -1, 1, 1), np.array([[-1.2345678901234567e-5]])))
+    return grids
+
+
+def near_tie(v):
+    """Whether the exact digits of v beyond its seventeenth lie within 2e-9 of one half."""
+    d = Decimal(v)
+    scaled = d.scaleb(16 - d.adjusted())
+    return abs(scaled - scaled.to_integral_value(ROUND_FLOOR) - Decimal("0.5")) <= Decimal("2e-9")
+
+
+class TestExport:
+    """`export_grid` writes the lines '%.17g' writes, in blocks of whole rows."""
+
+    def test_lines_match_percent_format(self, tmp_path):
+        for grid in layout_grids():
+            path = tmp_path / "grid.csv"
+            export_grid(grid, path)
+            assert path.read_text().splitlines()[1:] == percent_lines(grid)
+
+    def test_path_and_text_handle_get_the_same_bytes(self, tmp_path):
+        for grid in layout_grids():
+            path = tmp_path / "grid.csv"
+            export_grid(grid, path)
+            buffer = io.StringIO()
+            export_grid(grid, buffer)
+            assert path.read_bytes() == buffer.getvalue().encode("ascii")
+
+    def test_bench_and_positional_grids_need_no_percent_format(self, tmp_path, monkeypatch):
+        calls = []
+        fallback = nlamp._format._fallback
+
+        def spy(values):
+            calls.extend(values.tolist())
+            return fallback(values)
+
+        monkeypatch.setattr(nlamp._format, "_fallback", spy)
+        state = run_branch(SchemeConfig.symmetric(0.9 + 0j, 0.3), SUCCESS_OUTCOME).output
+        bench = wigner_of_state(state, WIDE)
+        # 1 <= |v| < 1e17: round numbers and random mantissas, less those
+        # whose digits beyond the seventeenth lie near one half, where
+        # '%.17g' may round a tie (above 1e14 a double has few fraction
+        # bits, and many are exact ties)
+        rng = np.random.default_rng(27)
+        randoms = (1.0 + rng.random(8000)) * 10.0 ** rng.integers(0, 17, 8000)
+        randoms = [v for v in randoms.tolist() if not near_tie(v)][:3949]
+        values = [m * 10.0**k for k in range(17) for m in (1.0, 3.0, 1.5)] + randoms
+        signs = rng.choice([-1.0, 1.0], 4000)
+        positional = WignerGrid(GridSpec(-8, 8, -8, 8, 40, 100), (signs * values).reshape(40, 100))
+        path = tmp_path / "grid.csv"
+        for grid in (bench, positional):
+            export_grid(grid, path)
+            assert path.read_text().splitlines()[1:] == percent_lines(grid)
+        assert calls == []
+        # the spy sees the values that do go to '%.17g': NaN and a tie
+        tie = 1234567890123456.25
+        values = np.array([[math.nan, 0.25, tie]])
+        export_grid(WignerGrid(GridSpec(-1, 1, -1, 1, 1, 3), values), path)
+        assert len(calls) == 2 and math.isnan(calls[0]) and calls[1] == tie
+        lines = ["-1,-1,nan", "-1,0,0.25", "-1,1,1234567890123456.2"]
+        assert path.read_text().splitlines()[1:] == lines
+
+
 def assert_same_values(got, want):
     """Bit-identical values, NaN compared by isnan."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
