@@ -44,8 +44,9 @@ EXIT_NOT_CONVERGED = 4
 
 MAX_THRESHOLDS = 10_000
 # Size bounds, checked before anything is allocated.  MAX_DIM holds for the
-# truncation dimension of table1, branches and wigner, whether it is given or
-# derived from the amplitude; the sweep evaluates closed forms and has none.
+# truncation dimension of branches and wigner, the two subcommands that build
+# Fock vectors, whether it is given or derived from the amplitude; table1 and
+# the sweep evaluate closed forms and have none.
 # The grid counts are bounded one by one because the Wigner quadrature holds
 # an n_x by ~4 dim / pi array whatever n_p is.
 MAX_DIM = 1000
@@ -57,7 +58,6 @@ SCHEME_DEFAULTS = {
     "r1": 0.4,
     "r2": 0.4,
     "r3": 0.4,
-    "dim": None,
     "eta_qnd": 1.0,
     "eta_pd1": 1.0,
     "eta_pd2": 1.0,
@@ -68,8 +68,8 @@ SCHEME_DEFAULTS = {
 # does not have.
 DEFAULTS = {
     "table1": SCHEME_DEFAULTS,
-    "branches": SCHEME_DEFAULTS,
-    "wigner": {**SCHEME_DEFAULTS, "grid": "-6,6,-6,6,241,241", "branch": "1"},
+    "branches": {**SCHEME_DEFAULTS, "dim": None},
+    "wigner": {**SCHEME_DEFAULTS, "dim": None, "grid": "-6,6,-6,6,241,241", "branch": "1"},
     "sweep": {
         "alpha_min": 0.05,
         "alpha_max": 1.5,
@@ -165,7 +165,7 @@ def _scheme_config(config: dict) -> SchemeConfig:
             r1=_number(config["r1"], "r1"),
             r2=_number(config["r2"], "r2"),
             r3=_number(config["r3"], "r3"),
-            dim=_dim(config, abs(alpha)),
+            dim=_dim(config, abs(alpha)) if "dim" in config else None,
             etas=tuple(_number(config[key], key) for key in ("eta_qnd", "eta_pd1", "eta_pd2")),
         )
     except ValueError as exc:
@@ -204,14 +204,13 @@ def _out_dir(config: dict) -> Path:
 
 
 def _save(path: Path, write) -> None:
-    """Create path, fill it with write(fh) and print it.
+    """Create and fill path by write(path), then print it.
 
     An OSError, such as a directory where the file should be, is a
     configuration error that names the path.
     """
     try:
-        with open(path, "w", newline="") as fh:
-            write(fh)
+        write(path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
     print(path)
@@ -219,10 +218,11 @@ def _save(path: Path, write) -> None:
 
 def _write_csv(out: Path, name: str, header: list[str], rows) -> None:
     """Write out/name as CSV, every cell through _fmt, and print its path."""
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(value) for value in row] for row in rows)
 
     _save(out / name, write)
 
@@ -318,7 +318,7 @@ def cmd_wigner(config: dict) -> int:
             return EXIT_NUMERIC
         grid = wigner_of_state(branch.output, spec)
         path = out / f"wigner_branch{selector}.csv"
-    _save(path, lambda fh: export_grid(grid, fh))
+    _save(path, lambda path: export_grid(grid, path))
     return EXIT_OK
 
 
@@ -331,22 +331,24 @@ def cmd_branches(config: dict) -> int:
     cfg = _scheme_config(config)
     out = _out_dir(config)
     branches, other = enumerate_single_photon_branches(cfg)
-    # every entry has every key; a zero-probability branch has NaN metrics
-    # and no amplitudes, and a defined one at alpha = 0 NaN gain and
-    # fidelities, each written as null
+    # P and metrics come from the table, the amplitudes from run_branch;
+    # "defined" says whether there are amplitudes.  Every entry has every
+    # key: a zero-probability branch has NaN metrics and no amplitudes, and
+    # a defined one at alpha = 0 NaN gain and fidelities, each written as null
+    outputs = [run_branch(cfg, branch.outcome).output for branch in branches]
     entries = [
         {
             "outcome": list(branch.outcome),
             "probability": branch.probability,
-            "defined": branch.defined,
+            "defined": output is not None,
             "abs_mean_a": _null(branch.mean_a_abs),
             "g_eff": _null(branch.g_eff),
             "fidelity_eff": _null(branch.fidelity_eff),
             "fidelity_energy": _null(branch.fidelity_energy),
             "fidelity_ideal": _null(branch.fidelity_ideal),
-            "amps": [[a.real, a.imag] for a in branch.output.amps] if branch.defined else None,
+            "amps": None if output is None else [[a.real, a.imag] for a in output.amps],
         }
-        for branch in branches
+        for branch, output in zip(branches, outputs)
     ]
     payload = {
         "alpha": [cfg.alpha.real, cfg.alpha.imag],
@@ -357,7 +359,7 @@ def cmd_branches(config: dict) -> int:
         "other_probability": other,
     }
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    _save(out / "branches.json", lambda fh: fh.write(text))
+    _save(out / "branches.json", lambda path: path.write_text(text, newline=""))
     return EXIT_OK
 
 

@@ -5,9 +5,10 @@ Conditioning operations elsewhere in the package rely on unnormalized
 intermediate states, so the ladder operators here do not renormalize;
 squared norms carry the probability bookkeeping.
 
-Coherent states are built as blocks (`coherent_block`), one state per row,
-each by a cumulative product, truncated, renormalized and tail-checked on
-its own; `coherent_state` is the one-row case.
+Coherent states are built as blocks (`coherent_block`), one state per row
+and all truncated to one dimension, each by a cumulative product,
+renormalized and tail-checked on its own; `coherent_state` is the one-row
+case.
 """
 
 from __future__ import annotations
@@ -55,33 +56,27 @@ def default_dim(alpha: complex) -> int:
     return max(20, math.ceil(a * a + 8.0 * a + 12.0))
 
 
-def coherent_block(alphas, dims) -> np.ndarray:
+def coherent_block(alphas, dim: int) -> np.ndarray:
     """Coherent states |alpha⟩ for every entry of `alphas`, along a new last axis.
 
-    `dims` broadcasts against `alphas` and gives each state's truncation;
-    the result has shape alphas.shape + (max(dims),).  Amplitudes follow
-    c_n = c_{n-1} alpha / sqrt(n) from c_0 = e^{-|alpha|²/2}, one cumulative
-    product per row, so every c_n stays finite and carries its phase.  Each
-    state is zero above its own dimension and renormalized over its own
-    levels.  If the discarded tail mass of any state exceeds TAIL_TOLERANCE,
-    a TruncationError names the largest.
+    Every state is truncated to `dim` levels, so the result has shape
+    alphas.shape + (dim,).  Amplitudes follow c_n = c_{n-1} alpha / sqrt(n)
+    from c_0 = e^{-|alpha|²/2}, one cumulative product per row, so every c_n
+    stays finite and carries its phase.  Each state is renormalized over the
+    kept levels.  If the discarded tail mass of any state exceeds
+    TAIL_TOLERANCE, a TruncationError names the largest.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    dims = np.asarray(dims)
-    if dims.min(initial=1) < 1:
+    if dim < 1:
         raise ValueError("dim must be >= 1")
-    n = np.arange(dims.max(initial=1))
-    factors = alphas[..., None] / np.sqrt(np.maximum(n, 1))
+    alphas = np.asarray(alphas, dtype=complex)
+    factors = alphas[..., None] / np.sqrt(np.maximum(np.arange(dim), 1))
     factors[..., 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
     amps = np.cumprod(factors, axis=-1)
-    amps *= n < dims[..., None]
     mass = np.vecdot(amps, amps).real
     tail = 1.0 - mass
     if tail.max(initial=0.0) > TAIL_TOLERANCE:
-        worst = np.unravel_index(np.argmax(tail), tail.shape)
         raise TruncationError(
-            f"coherent tail mass {tail[worst]:.3e} above {TAIL_TOLERANCE:.0e} "
-            f"at dim={np.broadcast_to(dims, tail.shape)[worst]}"
+            f"coherent tail mass {tail.max():.3e} above {TAIL_TOLERANCE:.0e} at dim={dim}"
         )
     return amps / np.sqrt(mass)[..., None]
 

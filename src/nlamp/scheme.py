@@ -16,18 +16,19 @@ result.
 Three routes give branch figures.  The truncated Fock simulator
 (`run_branch`) applies the three steps to the input truncated at
 effective_dim and gives one branch with its output state; it is the
-referee the tests hold the other two routes to, and the `wigner`
-subcommand's source of output states.  K_k(n) is a sum of at most
-min(k, n) + 1 shifted diagonals, whose coefficients are formed in log space
-from a table of log k! values (`math.lgamma`), so the simulator needs numpy
-and the standard library only.
+referee the tests hold the other two routes to, and the one builder of the
+Fock vectors that the `branches` and `wigner` subcommands print and plot.
+K_k(n) is a sum of at most min(k, n) + 1 shifted diagonals, whose
+coefficients are formed in log space from a table of log k! values
+(`math.lgamma`), so the simulator needs numpy and the standard library only.
 
-The branch table (`enumerate_single_photon_branches`) propagates nothing.
-With a coherent input, each step with a reading of 0 or 1 maps a state
-(u + v a†)|c⟩ to one of the same form, because t^n̂|c⟩ = e^(−r²|c|²/2)|tc⟩,
-t^n̂ a† = t a† t^n̂, a|c⟩ = c|c⟩ and a a†|c⟩ = (1 + c a†)|c⟩.  So every
-0/1 pattern ends in (u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, the
-photon-added coherent algebra (Agarwal & Tara, PRA 43, 492 (1991)), and its
+The branch table (`enumerate_single_photon_branches`) propagates nothing,
+builds no Fock vector and has no truncation.  With a coherent input, each
+step with a reading of 0 or 1 maps a state (u + v a†)|c⟩ to one of the same
+form, because t^n̂|c⟩ = e^(−r²|c|²/2)|tc⟩, t^n̂ a† = t a† t^n̂, a|c⟩ = c|c⟩
+and a a†|c⟩ = (1 + c a†)|c⟩.  So every 0/1 pattern ends in
+(u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, the photon-added
+coherent algebra (Agarwal & Tara, PRA 43, 492 (1991)), and its
 probability, ⟨a⟩ and fidelities are exact functions of (u, v, gamma),
 evaluated for the eight rows at once.
 
@@ -118,8 +119,10 @@ class SchemeConfig:
 class BranchResult:
     """One conditioned output of the pipeline with its derived metrics.
 
-    `output` is None for branches of zero probability (flagged, not fatal);
-    all metric fields are NaN in that case.
+    A branch of zero probability is flagged, not fatal: it is not `defined`
+    and all its metric fields are NaN.  `output` is the truncated output
+    state from `run_branch`, None there for an undefined branch, and None
+    on every row of the branch table.
     """
 
     outcome: tuple[int, int, int]
@@ -133,7 +136,7 @@ class BranchResult:
 
     @property
     def defined(self) -> bool:
-        return self.output is not None
+        return not math.isnan(self.mean_a_abs)
 
 
 def _log_factorials(size: int) -> np.ndarray:
@@ -253,10 +256,6 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-# n_pd1 + n_pd2 of each pattern in BRANCH_ORDER
-_DETECTED = np.array([n_pd1 + n_pd2 for _, n_pd1, n_pd2 in BRANCH_ORDER])
-
-
 def enumerate_single_photon_branches(
     cfg: SchemeConfig,
 ) -> tuple[list[BranchResult], float]:
@@ -264,37 +263,33 @@ def enumerate_single_photon_branches(
 
     Every output is (u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, so a
     pattern is two coefficients (u, v), and each metric of `run_branch` is
-    array math on them over the eight rows: no Kraus step is applied and no
-    comparison state is built.  The probability, ⟨a⟩, ⟨n⟩ and fidelities
-    are exact, and the output is u⟨n|gamma⟩ + v√n⟨n−1|gamma⟩ on
-    effective_dim + n_qnd levels, cut to the image of the input truncated at
-    effective_dim (zero from effective_dim − n_pd1 − n_pd2 up) and
-    normalized by its own norm; a pattern that leaves that image no level is
-    unreachable, as in `run_branch`.  The input's truncation is checked as
-    there, so an inadequate `dim` raises TruncationError.
+    array math on them over the eight rows: no Kraus step is applied, no
+    Fock vector is built and `dim` is not read, so any finite alpha gives a
+    table.  The probability, ⟨a⟩, ⟨n⟩ and fidelities are exact; a row's
+    `output` is None, and `run_branch` gives the truncated output vector.
 
     The remainder is the probability that some detector saw more than one
     photon; with ideal detectors the eight branches and the remainder sum to
     one.
     """
-    dim = cfg.effective_dim
     alpha = complex(cfg.alpha)
     r1, r2, r3 = cfg.r1, cfg.r2, cfg.r3
     t2, t3 = math.sqrt(1.0 - r2 * r2), math.sqrt(1.0 - r3 * r3)
     gamma1 = math.sqrt(1.0 - r1 * r1) * alpha
     gamma2 = t2 * gamma1
     gamma = t3 * gamma2
-    # ⟨n|gamma⟩ on the widest output's levels, in one cumulative product with
-    # the input, which is there for its tail check only (|gamma| <= |alpha|,
-    # so gamma's tail is never the larger)
-    _, coherent = fock.coherent_block([alpha, gamma], [dim, dim + 1])
 
     # t^n̂ |c⟩ = e^(−r²|c|²/2) |t c⟩, so the three splitters scale every
     # pattern by e, and each stage maps the (u, v) of a reading prefix
-    # linearly: a (u + v a†)|c⟩ = (c u + v + c v a†)|c⟩, t^n̂ a† = t a† t^n̂
-    e = math.exp(
-        -0.5 * (r1 * r1 * _abs2(alpha) + r2 * r2 * _abs2(gamma1) + r3 * r3 * _abs2(gamma2))
-    )
+    # linearly: a (u + v a†)|c⟩ = (c u + v + c v a†)|c⟩, t^n̂ a† = t a† t^n̂.
+    # Where r²|c|² is not finite (0 · inf at r = 0, or |c|² overflowing),
+    # each term is formed as (r|c|)(r|c|) instead; that rounds differently,
+    # so the finite form stays wherever it holds and the tables keep their bits
+    exponent = r1 * r1 * _abs2(alpha) + r2 * r2 * _abs2(gamma1) + r3 * r3 * _abs2(gamma2)
+    if not math.isfinite(exponent):
+        rc1, rc2, rc3 = r1 * abs(alpha), r2 * abs(gamma1), r3 * abs(gamma2)
+        exponent = rc1 * rc1 + rc2 * rc2 + rc3 * rc3
+    e = math.exp(-0.5 * exponent)
     start = (e, r1 * alpha * e)
     # splitter 2 adds the QND count back, K_k(n) with k = n_qnd
     after2 = {
@@ -313,10 +308,10 @@ def enumerate_single_photon_branches(
     # a†|gamma⟩ = D(gamma)(|1⟩ + gamma*|0⟩)
     w0, w1 = u + v * gamma.conjugate(), v
     probability = _abs2(w0) + _abs2(w1)
-    defined = (probability >= 1e-300) & (_DETECTED < dim)
+    defined = probability >= 1e-300
     probability[~defined] = 0.0
     scale = 1.0 / np.sqrt(np.where(defined, probability, 1.0))
-    u, v, w0, w1 = u * scale, v * scale, w0 * scale, w1 * scale
+    w0, w1 = w0 * scale, w1 * scale
 
     # a D(gamma) = D(gamma)(a + gamma): a|psi⟩ has coefficients
     # (gamma w0 + w1, gamma w1), and ⟨beta|psi⟩ is
@@ -339,18 +334,11 @@ def enumerate_single_photon_branches(
         metrics[2:] = [fidelity(beta) for beta in betas]
     metrics[:, ~defined] = np.nan
 
-    levels = np.arange(dim + 1)
-    outputs = u[:, None] * coherent
-    # ⟨n|a†|gamma⟩ = √n ⟨n−1|gamma⟩
-    outputs[:, 1:] += v[:, None] * (np.sqrt(levels[1:]) * coherent[:-1])
-    # output level m comes from input level m + n_pd1 + n_pd2 alone
-    outputs *= levels < dim - _DETECTED[:, None]
-    outputs /= np.sqrt(np.where(defined, np.vecdot(outputs, outputs).real, 1.0))[:, None]
     branches = [
         BranchResult(
             outcome,
             detector_adjusted(float(probability[b]), *cfg.etas),
-            FockState(outputs[b, : dim + outcome[0]]) if defined[b] else None,
+            None,
             *metrics[:, b].tolist(),
         )
         for b, outcome in enumerate(BRANCH_ORDER)

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from nlamp import (
     GridSpec,
+    SchemeConfig,
     SplitterTriple,
+    enumerate_single_photon_branches,
     g_eff_closed,
     import_grid,
     integrate,
+    run_branch,
     wigner_coherent,
 )
 from nlamp import cli
@@ -44,19 +47,35 @@ class TestTable1:
         assert abs(total - 1.0) < 1e-9
 
     def test_vacuum_input_concentrates_on_last_branch(self, tmp_path):
-        main(["table1", "--alpha", "0", "--dim", "8", "--out", str(tmp_path)])
+        main(["table1", "--alpha", "0", "--out", str(tmp_path)])
         rows = read_csv(tmp_path / "table1.csv")
         by_state = {row[0]: row for row in rows[1:]}
         assert float(by_state["8"][6]) == pytest.approx(1.0, abs=1e-12)
         assert by_state["1"][5] == "nan"
         assert float(by_state["1"][6]) == 0
 
-    @pytest.mark.parametrize("command", ["table1", "branches"])
+    @pytest.mark.parametrize("command", ["branches", "wigner"])
     def test_inadequate_dimension_is_numeric_failure(self, command, tmp_path, capsys):
-        # |alpha| = 3 leaves 3e-3 of the input above 10 levels
+        # |alpha| = 3 leaves 3e-3 of the input above 10 levels; table1 reads
+        # no dimension
         code = main([command, "--alpha", "3", "--dim", "10", "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
         assert "coherent tail mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["14", "30"])
+    def test_amplitude_past_max_dim_gives_a_table(self, alpha, tmp_path):
+        # |alpha| = 14 would need 1020 levels, above MAX_DIM; the table needs none
+        assert main(["table1", "--alpha", alpha, "--out", str(tmp_path)]) == EXIT_OK
+        probabilities = [float(row[6]) for row in read_csv(tmp_path / "table1.csv")[1:]]
+        assert all(0.0 <= p <= 1.0 for p in probabilities)
+        assert abs(sum(probabilities) - 1.0) < 1e-12
+
+    def test_overflowing_amplitude_at_zero_reflectivity(self, tmp_path):
+        # |alpha|^2 overflows, yet at r = 0 no photon is ever detected
+        argv = ["table1", "--alpha", "1e200", "--r", "0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        probabilities = [float(row[6]) for row in read_csv(tmp_path / "table1.csv")[1:]]
+        assert probabilities == [0.0] * 7 + [1.0, 0.0]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -211,6 +230,37 @@ class TestBranchesJson:
         assert all(success[key] is None for key in keys[3:])
         assert entries[-1]["defined"] and len(entries[-1]["amps"]) == 8
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--alpha", "0.7", "--r", "0.3"],
+            ["--alpha", "0", "--dim", "8"],
+            ["--alpha", "0.001", "--dim", "2"],
+        ],
+    )
+    def test_amps_are_run_branch_outputs(self, argv, tmp_path):
+        # P and metrics are the table's, the amplitudes run_branch's; at
+        # dim 2 the patterns with n_pd1 = n_pd2 = 1 have a positive P but no
+        # level of the truncated input reaches them
+        assert main(["branches", *argv, "--out", str(tmp_path)]) == EXIT_OK
+        payload = json.loads((tmp_path / "branches.json").read_text())
+        cfg = SchemeConfig(complex(*payload["alpha"]), *payload["r"], dim=payload["dim"])
+        table, other = enumerate_single_photon_branches(cfg)
+        assert payload["other_probability"] == other
+        for entry, branch in zip(payload["branches"], table):
+            assert entry["probability"] == branch.probability
+            assert entry["abs_mean_a"] == (branch.mean_a_abs if branch.defined else None)
+            output = run_branch(cfg, branch.outcome).output
+            assert entry["defined"] is (output is not None)
+            if output is None:
+                assert entry["amps"] is None
+            else:
+                assert entry["amps"] == [[a.real, a.imag] for a in output.amps.tolist()]
+        if payload["dim"] == 2:
+            undefined = [entry for entry in payload["branches"] if not entry["defined"]]
+            assert [entry["outcome"] for entry in undefined] == [[1, 1, 1], [0, 1, 1]]
+            assert all(entry["probability"] > 1e-15 for entry in undefined)
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
@@ -286,8 +336,10 @@ class TestUnusedFlags:
             ["optimize", "--alpha", "3"],
             ["sweep", "--r", "1.5"],
             ["sweep", "--eta-qnd", "0.1"],
-            # the sweep evaluates closed forms, with no truncation to set
+            # the sweep and the table evaluate closed forms, with no
+            # truncation to set
             ["sweep", "--dim", "30"],
+            ["table1", "--dim", "30"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, tmp_path):
@@ -298,14 +350,14 @@ class TestUnusedFlags:
 
 
 class TestRegisteredFlags:
-    SCHEME = {"--alpha", "--r", "--eta-qnd", "--eta-pd1", "--eta-pd2", "--dim"}
+    SCHEME = {"--alpha", "--r", "--eta-qnd", "--eta-pd1", "--eta-pd2"}
 
     @pytest.mark.parametrize(
         "command, flags",
         [
             ("table1", SCHEME),
-            ("branches", SCHEME),
-            ("wigner", SCHEME | {"--grid", "--branch"}),
+            ("branches", SCHEME | {"--dim"}),
+            ("wigner", SCHEME | {"--dim", "--grid", "--branch"}),
             ("sweep", set()),
             ("optimize", {"--geff0-min", "--geff0-max", "--geff0-step"}),
         ],
@@ -404,9 +456,9 @@ class TestSizeBounds:
     @pytest.mark.parametrize(
         "argv, bound",
         [
-            (["table1", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
+            (["branches", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
+            (["wigner", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
             # 4 * 14^2 + 16 * 14 + 12 = 1020 levels derived from the amplitude
-            (["table1", "--alpha", "14"], "MAX_DIM"),
             (["branches", "--alpha", "14"], "MAX_DIM"),
             (["wigner", "--alpha", "14"], "MAX_DIM"),
             (["wigner", f"--grid=-6,6,-6,6,{cli.MAX_GRID_POINTS + 1},1"], "MAX_GRID_POINTS"),

@@ -78,23 +78,22 @@ class TestCoherentBlock:
                 atol=1e-15,
             )
 
-    def test_rows_are_one_row_states_zero_padded(self):
+    def test_rows_are_one_row_states(self):
         alphas = np.array([[0.5, 1.0 - 0.4j, 0.0], [2.0, -0.3j, 1.2]])
-        dims = np.array([[30, 16, 5], [40, 20, 25]])
-        block = coherent_block(alphas, dims)
-        assert block.shape == (2, 3, 40)
+        block = coherent_block(alphas, 30)
+        assert block.shape == (2, 3, 30)
         for index in np.ndindex(alphas.shape):
-            dim = dims[index]
-            np.testing.assert_array_equal(block[index][dim:], 0)
             np.testing.assert_allclose(
-                block[index][:dim], coherent_state(alphas[index], dim).amps, rtol=0, atol=1e-15
+                block[index], coherent_state(alphas[index], 30).amps, rtol=0, atol=1e-15
             )
 
     def test_each_row_has_its_own_tail_check(self):
-        # |2.0> fits in 40 levels but not in 5, whatever its neighbours are
-        coherent_block([0.1, 2.0], [5, 40])
-        with pytest.raises(TruncationError, match="dim=5"):
-            coherent_block([0.1, 2.0, 0.3], [5, 5, 40])
+        # |2.0> does not fit in 5 levels, whatever its neighbours are, and
+        # the error names its tail mass
+        coherent_block([0.1, -0.1j], 5)
+        tail = 1.0 - sum(math.exp(-4.0) * 4.0**n / math.factorial(n) for n in range(5))
+        with pytest.raises(TruncationError, match=f"tail mass {tail:.3e} .* at dim=5"):
+            coherent_block([0.1, 2.0, -0.1j], 5)
 
 
 class TestFockState:

@@ -49,6 +49,10 @@ REFERENCE_REMAINDER = 3.8361e-3
 
 TABLE_CONFIG = SchemeConfig.symmetric(0.5 + 0j, 0.4)
 
+# the BranchResult fields every route computes
+METRICS = ("probability", "mean_a_abs", "g_eff", "fidelity_eff", "fidelity_energy",
+           "fidelity_ideal")
+
 
 class TestBranchTable:
     def test_probabilities(self):
@@ -102,6 +106,34 @@ class TestCompleteness:
         assert [b.outcome for b in branches] == list(BRANCH_ORDER)
 
 
+# any complex amplitude whose magnitude is a finite float, past where |alpha|²
+# overflows (1.3e154) among them
+AMPLITUDES = st.one_of(
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.builds(cmath.rect, st.floats(0.0, 1e300), st.floats(-math.pi, math.pi)),
+).filter(lambda alpha: math.isfinite(abs(alpha)))
+
+
+# The metrics overflow where ⟨n⟩ ≈ |alpha|² does, and numpy warns; this
+# property is about P alone
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(alpha=AMPLITUDES, rs=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3))
+@example(alpha=1e200, rs=(0.0, 0.0, 0.0))
+@example(alpha=1e160j, rs=(0.0, 0.0, 0.0))
+@example(alpha=1e200, rs=(1e-250, 0.0, 1e-210))
+@example(alpha=1e155, rs=(1e-158, 1e-158, 1e-158))
+@example(alpha=30.0, rs=(0.4, 0.4, 0.4))
+def test_table_without_truncation_is_a_distribution(alpha, rs):
+    branches, other = enumerate_single_photon_branches(SchemeConfig(alpha, *rs))
+    probabilities = [b.probability for b in branches]
+    assert all(0.0 <= p <= 1.0 for p in [*probabilities, other]), (probabilities, other)
+    assert abs(sum(probabilities) + other - 1.0) <= 1e-12
+    if rs == (0.0, 0.0, 0.0):
+        # nothing is reflected, so nothing is detected
+        assert probabilities[BRANCH_ORDER.index((0, 0, 0))] == 1.0
+
+
 # Readings of twelve photons or more carry at most 5.5e-12 of the probability
 # at |alpha| <= 1 and r <= 0.5, the most at the corner |alpha| = 1,
 # r1 = r2 = 0.5 (readings of ten or more carry 1.4e-9 there).
@@ -148,18 +180,26 @@ class TestDegenerateInput:
         assert remainder == pytest.approx(0.0, abs=1e-14)
 
     def test_outputs_are_the_image_of_the_truncated_input(self):
-        # of two input levels, a pattern with n_pd1 + n_pd2 = k keeps an
-        # image on 2 - k; at k = 2 there is none, and the pattern is
-        # unreachable
+        # output level m comes from input level m + n_pd1 + n_pd2 alone, so
+        # of two input levels a pattern with n_pd1 + n_pd2 = k keeps the
+        # untruncated output's first 2 - k levels; at k = 2 there is none,
+        # and run_branch finds the pattern unreachable.  The table has no
+        # truncation and gives every pattern its P.
         cfg = SchemeConfig.symmetric(1e-4 + 0j, 0.4, dim=2)
+        untruncated = SchemeConfig.symmetric(1e-4 + 0j, 0.4)
         branches, _ = enumerate_single_photon_branches(cfg)
         for branch in branches:
             single = run_branch(cfg, branch.outcome)
-            assert branch.defined == single.defined == (branch.outcome[1:] != (1, 1))
-            if branch.defined:
-                np.testing.assert_allclose(
-                    branch.output.amps, single.output.amps, rtol=0, atol=1e-13
-                )
+            full = run_branch(untruncated, branch.outcome)
+            assert branch.defined
+            assert_same_metric(branch.probability, full.probability, "P")
+            kept = 2 - branch.outcome[1] - branch.outcome[2]
+            assert single.defined == (kept > 0)
+            if single.defined:
+                assert single.output.dim == 2 + branch.outcome[0]
+                image = full.output.amps[:kept] / np.linalg.norm(full.output.amps[:kept])
+                np.testing.assert_allclose(single.output.amps[:kept], image, rtol=0, atol=1e-13)
+                np.testing.assert_array_equal(single.output.amps[kept:], 0)
 
 
 class TestTruncation:
@@ -167,12 +207,21 @@ class TestTruncation:
     # input alpha = 3 does not fit in 10
     @pytest.mark.parametrize("r", [0.4, 0.8])
     def test_inadequate_dimension_raises_on_both_routes(self, r):
+        # both routes that truncate the input, run_branch and the operator
+        # oracle, raise; the table reads no dimension and gives the same
+        # numbers as without one
         cfg = SchemeConfig.symmetric(3.0 + 0j, r, dim=10)
-        with pytest.raises(TruncationError):
-            enumerate_single_photon_branches(cfg)
         for outcome in BRANCH_ORDER:
             with pytest.raises(TruncationError):
                 run_branch(cfg, outcome)
+        with pytest.raises(TruncationError):
+            operator_oracle(cfg)
+        branches, other = enumerate_single_photon_branches(cfg)
+        want, want_other = enumerate_single_photon_branches(SchemeConfig.symmetric(3.0 + 0j, r))
+        assert other == want_other
+        for branch, expected in zip(branches, want):
+            for name in METRICS:
+                assert_same_metric(getattr(branch, name), getattr(expected, name), name)
 
 
 class TestPhaseCovariance:
@@ -194,10 +243,9 @@ class TestPhaseCovariance:
 
 class TestOutputCoherence:
     def test_unclicked_branches_stay_exactly_coherent(self):
-        branches, _ = enumerate_single_photon_branches(TABLE_CONFIG)
-        for b in branches:
-            if b.outcome[0] == 0:
-                assert coherence_check(b) < 1e-10
+        for outcome in BRANCH_ORDER:
+            if outcome[0] == 0:
+                assert coherence_check(run_branch(TABLE_CONFIG, outcome)) < 1e-10
 
     def test_success_branch_is_not_coherent(self):
         branch = run_branch(TABLE_CONFIG, SUCCESS_OUTCOME)
@@ -353,29 +401,37 @@ class TestBlockPropagation:
                 want = getattr(single, name)
                 floor = 0.0 if math.isnan(want) else 1e-14 * math.sqrt(want)
                 assert_within_referee(getattr(branch, name), want, name, floor)
-            if branch.defined:
+            # the table builds no Fock vector; run_branch builds it
+            assert branch.output is None
+            if single.defined:
                 assert single.output.dim == cfg.effective_dim + branch.outcome[0]
-                assert branch.output.dim == single.output.dim
-                np.testing.assert_allclose(
-                    branch.output.amps, single.output.amps, rtol=0, atol=1e-13
-                )
 
     def test_enumerated_outputs_equal_run_branch(self):
+        # every pattern's output is (u + v a†)|gamma⟩, gamma = t3 t2 t1 alpha,
+        # the form the table's metrics are computed from: run_branch's output
+        # lies in that plane, cut to the image of the truncated input (level
+        # m from input level m + n_pd1 + n_pd2), and has the table's metrics
         rng = np.random.default_rng(41)
         for dim in (None, None, 26, 40):
             alpha = complex(*rng.uniform(-1.0, 1.0, size=2))
             rs = rng.uniform(0.05, 0.8, size=3)
             cfg = SchemeConfig(alpha, *rs, dim=dim, etas=(0.9, 0.8, 0.95))
+            gamma = alpha * math.prod(math.sqrt(1.0 - r * r) for r in rs)
             branches, _ = enumerate_single_photon_branches(cfg)
             for branch in branches:
                 single = run_branch(cfg, branch.outcome)
-                assert branch.output.dim == cfg.effective_dim + branch.outcome[0]
-                assert single.output.dim == branch.output.dim
+                size = cfg.effective_dim + branch.outcome[0]
+                assert single.output.dim == size
+                levels = np.arange(size)
+                coherent = coherent_state(gamma, size).amps
+                created = np.concatenate([[0.0], np.sqrt(levels[1:]) * coherent[:-1]])
+                plane = np.stack([coherent, created], axis=1)
+                plane[levels >= cfg.effective_dim - sum(branch.outcome[1:])] = 0.0
+                uv, *_ = np.linalg.lstsq(plane, single.output.amps, rcond=None)
                 np.testing.assert_allclose(
-                    branch.output.amps, single.output.amps, rtol=0, atol=1e-13
+                    plane @ uv, single.output.amps, rtol=0, atol=1e-13
                 )
-                for name in ("probability", "mean_a_abs", "g_eff", "fidelity_eff",
-                             "fidelity_energy", "fidelity_ideal"):
+                for name in METRICS:
                     assert_same_metric(getattr(branch, name), getattr(single, name), name)
 
     @pytest.mark.parametrize("r", [0.1, 0.3])
