@@ -70,6 +70,7 @@ from .wigner import (
     import_grid,
     integrate,
     wigner_coherent,
+    wigner_displaced_qubit,
     wigner_fock,
     wigner_of_state,
 )

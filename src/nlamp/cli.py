@@ -29,13 +29,13 @@ from .errors import (
 )
 from .optimize import sweep as optimize_sweep
 from .scheme import (
-    BRANCH_ORDER,
     SchemeConfig,
+    _branch_coefficients,
     enumerate_single_photon_branches,
     gain_fidelity_sweep,
     run_branch,
 )
-from .wigner import GridSpec, export_grid, wigner_coherent, wigner_of_state
+from .wigner import GridSpec, export_grid, wigner_coherent, wigner_displaced_qubit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,20 +44,18 @@ EXIT_NOT_CONVERGED = 4
 
 MAX_THRESHOLDS = 10_000
 # Size bounds, checked before anything is allocated.  MAX_DIM holds for the
-# truncation dimension of branches and wigner, the two subcommands that build
-# Fock vectors, whether it is given or derived from the amplitude; table1 and
-# the sweep evaluate closed forms and have none.
-# The grid counts are bounded one by one because the Wigner quadrature holds
-# an n_x by ~4 dim / pi array whatever n_p is.
+# truncation dimension of branches, the one subcommand that builds Fock
+# vectors, whether it is given or derived from the amplitude; table1, the
+# sweep and wigner evaluate closed forms and have none.
+# The grid counts are bounded one by one, so a grid has at most about 10^6
+# cells and the closed form of W a few arrays of 8 MB.
 MAX_DIM = 1000
 MAX_SWEEP_POINTS = 10_000  # alpha_steps * len(r_values)
 MAX_GRID_POINTS = 1001  # n_x and n_p, each
 
+STATE_DEFAULTS = {"alpha": 0.5, "r1": 0.4, "r2": 0.4, "r3": 0.4}
 SCHEME_DEFAULTS = {
-    "alpha": 0.5,
-    "r1": 0.4,
-    "r2": 0.4,
-    "r3": 0.4,
+    **STATE_DEFAULTS,
     "eta_qnd": 1.0,
     "eta_pd1": 1.0,
     "eta_pd2": 1.0,
@@ -69,7 +67,7 @@ SCHEME_DEFAULTS = {
 DEFAULTS = {
     "table1": SCHEME_DEFAULTS,
     "branches": {**SCHEME_DEFAULTS, "dim": None},
-    "wigner": {**SCHEME_DEFAULTS, "dim": None, "grid": "-6,6,-6,6,241,241", "branch": "1"},
+    "wigner": {**STATE_DEFAULTS, "grid": "-6,6,-6,6,241,241", "branch": "1"},
     "sweep": {
         "alpha_min": 0.05,
         "alpha_max": 1.5,
@@ -165,7 +163,7 @@ def _scheme_config(config: dict) -> SchemeConfig:
             r1=_number(config["r1"], "r1"),
             r2=_number(config["r2"], "r2"),
             r3=_number(config["r3"], "r3"),
-            dim=_dim(config, abs(alpha)) if "dim" in config else None,
+            dim=_dim(config, math.hypot(alpha.real, alpha.imag)) if "dim" in config else None,
             etas=tuple(_number(config[key], key) for key in ("eta_qnd", "eta_pd1", "eta_pd2")),
         )
     except ValueError as exc:
@@ -302,7 +300,8 @@ def cmd_optimize(config: dict) -> int:
 
 def cmd_wigner(config: dict) -> int:
     """write a phase-space grid CSV for a branch or the input"""
-    cfg = _scheme_config(config)
+    # the detector efficiencies scale a branch's probability, not its state
+    cfg = _scheme_config({**SCHEME_DEFAULTS, **config})
     spec = _grid_spec(config)
     selector = str(config["branch"])
     if selector != "input" and selector not in {str(i) for i in range(1, 9)}:
@@ -312,11 +311,12 @@ def cmd_wigner(config: dict) -> int:
         grid = wigner_coherent(cfg.alpha, spec)
         path = out / "wigner_input.csv"
     else:
-        branch = run_branch(cfg, BRANCH_ORDER[int(selector) - 1])
-        if not branch.defined:
+        gamma, w0, w1, _, defined = _branch_coefficients(cfg)
+        row = int(selector) - 1
+        if not defined[row]:
             print(f"branch {selector} has zero probability; no state to plot", file=sys.stderr)
             return EXIT_NUMERIC
-        grid = wigner_of_state(branch.output, spec)
+        grid = wigner_displaced_qubit(gamma, w0[row], w1[row], spec)
         path = out / f"wigner_branch{selector}.csv"
     _save(path, lambda path: export_grid(grid, path))
     return EXIT_OK

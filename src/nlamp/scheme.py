@@ -17,7 +17,7 @@ Three routes give branch figures.  The truncated Fock simulator
 (`run_branch`) applies the three steps to the input truncated at
 effective_dim and gives one branch with its output state; it is the
 referee the tests hold the other two routes to, and the one builder of the
-Fock vectors that the `branches` and `wigner` subcommands print and plot.
+Fock vectors that the `branches` subcommand prints.
 K_k(n) is a sum of at most min(k, n) + 1 shifted diagonals, whose
 coefficients are formed in log space from a table of log k! values
 (`math.lgamma`), so the simulator needs numpy and the standard library only.
@@ -92,7 +92,7 @@ class SchemeConfig:
     etas: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if not math.isfinite(abs(self.alpha)):
+        if not math.isfinite(math.hypot(self.alpha.real, self.alpha.imag)):
             raise ValueError(f"input amplitude must be finite, got {self.alpha}")
         for r in (self.r1, self.r2, self.r3):
             _check_reflectivity(r)
@@ -256,21 +256,11 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def enumerate_single_photon_branches(
-    cfg: SchemeConfig,
-) -> tuple[list[BranchResult], float]:
-    """All eight 0/1 detection patterns plus the aggregated remainder.
+def _branch_coefficients(cfg: SchemeConfig):
+    """(gamma, w0, w1, P, defined): each 0/1 output is D(gamma)(w0|0⟩ + w1|1⟩).
 
-    Every output is (u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, so a
-    pattern is two coefficients (u, v), and each metric of `run_branch` is
-    array math on them over the eight rows: no Kraus step is applied, no
-    Fock vector is built and `dim` is not read, so any finite alpha gives a
-    table.  The probability, ⟨a⟩, ⟨n⟩ and fidelities are exact; a row's
-    `output` is None, and `run_branch` gives the truncated output vector.
-
-    The remainder is the probability that some detector saw more than one
-    photon; with ideal detectors the eight branches and the remainder sum to
-    one.
+    Arrays run over BRANCH_ORDER; a row with P >= 1e-300, before detector
+    efficiencies, is defined and normalized, and any other has P = 0.
     """
     alpha = complex(cfg.alpha)
     r1, r2, r3 = cfg.r1, cfg.r2, cfg.r3
@@ -311,27 +301,52 @@ def enumerate_single_photon_branches(
     defined = probability >= 1e-300
     probability[~defined] = 0.0
     scale = 1.0 / np.sqrt(np.where(defined, probability, 1.0))
-    w0, w1 = w0 * scale, w1 * scale
+    return gamma, w0 * scale, w1 * scale, probability, defined
 
-    # a D(gamma) = D(gamma)(a + gamma): a|psi⟩ has coefficients
-    # (gamma w0 + w1, gamma w1), and ⟨beta|psi⟩ is
-    # (w0 + w1 (beta − gamma)*) times ⟨beta|gamma⟩, of squared modulus
-    # e^(−|beta − gamma|²)
-    def fidelity(beta):
-        delta = beta - gamma
-        return _abs2(w0 + w1 * delta.conjugate()) * np.exp(-_abs2(delta))
+
+def enumerate_single_photon_branches(
+    cfg: SchemeConfig,
+) -> tuple[list[BranchResult], float]:
+    """All eight 0/1 detection patterns plus the aggregated remainder.
+
+    Every output is (u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, so a
+    pattern is two coefficients (u, v), and each metric of `run_branch` is
+    array math on them over the eight rows (`_branch_coefficients`): no
+    Kraus step is applied, no Fock vector is built and `dim` is not read,
+    so any finite alpha gives a table.  The probability, ⟨a⟩, ⟨n⟩ and
+    fidelities are exact; a row's `output` is None, and `run_branch` gives
+    the truncated output vector.
+
+    The remainder is the probability that some detector saw more than one
+    photon; with ideal detectors the eight branches and the remainder sum to
+    one.
+    """
+    alpha = complex(cfg.alpha)
+    gamma, w0, w1, probability, defined = _branch_coefficients(cfg)
 
     # mean_a_abs, g_eff, fidelity_eff, fidelity_energy, fidelity_ideal
     metrics = np.full((5, len(BRANCH_ORDER)), np.nan)
     metrics[0] = np.abs(gamma + w0.conjugate() * w1)
     if alpha != 0:
         alpha_abs = abs(alpha)
-        g_eff = metrics[0] / alpha_abs
-        mean_n = _abs2(gamma * w0 + w1) + _abs2(gamma * w1)
+        metrics[1] = metrics[0] / alpha_abs
         phase = complex(alpha.real / alpha_abs, alpha.imag / alpha_abs)
-        metrics[1] = g_eff
-        betas = (g_eff * alpha, np.sqrt(mean_n) * phase, 2.0 * alpha)
-        metrics[2:] = [fidelity(beta) for beta in betas]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a D(gamma) = D(gamma)(a + gamma): a|psi⟩ has coefficients
+            # (gamma w0 + w1, gamma w1), so ⟨n⟩ = |gamma w0 + w1|² + |gamma w1|²,
+            # which overflows past |gamma| ≈ 1.3e154, where its root is a hypot
+            root_n = np.sqrt(_abs2(gamma * w0 + w1) + _abs2(gamma * w1))
+            big = np.isinf(root_n)
+            if big.any():
+                root_n[big] = np.hypot(np.abs(gamma * w0 + w1), np.abs(gamma * w1))[big]
+            # ⟨beta|psi⟩ is (w0 + w1 (beta − gamma)*) times ⟨beta|gamma⟩, of
+            # squared modulus e^(−|beta − gamma|²), 0 where that overflows;
+            # beta is g_eff alpha, √⟨n⟩ times alpha's phase, and 2 alpha
+            scales = np.array([metrics[1], root_n, np.full(len(BRANCH_ORDER), 2.0)])
+            delta = scales * np.array([[alpha], [phase], [alpha]]) - gamma
+            overlap = np.exp(-_abs2(delta))
+            fidelities = _abs2(w0 + w1 * delta.conjugate()) * overlap
+            metrics[2:] = np.where(overlap == 0.0, 0.0, fidelities)
     metrics[:, ~defined] = np.nan
 
     branches = [

@@ -3,8 +3,8 @@
 Serves as an oracle independent of the Fock-basis route: fidelities and
 field expectation values are computed by quadrature over W(x, p) and
 cross-checked against inner products and ladder-operator expectations.
-General pure states are drawn from their wavefunction (`wigner_of_state`);
-the coherent and Fock closed forms are the independent oracles.
+Branch outputs D(gamma)(w0|0⟩ + w1|1⟩) are drawn in closed form, truncated pure
+states from their wavefunction (`wigner_of_state`), the closed forms' referee.
 """
 
 from __future__ import annotations
@@ -85,10 +85,26 @@ def integrate(grid: WignerGrid) -> float:
 
 def wigner_coherent(alpha: complex, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
     """W of |alpha⟩: a Gaussian of height 1/pi centered at sqrt(2)(Re, Im)alpha."""
+    return wigner_displaced_qubit(alpha, 1.0, 0.0, spec)
+
+
+def wigner_displaced_qubit(gamma: complex, w0, w1, spec: GridSpec = DEFAULT_GRID) -> WignerGrid:
+    """W of D(gamma)(w0|0⟩ + w1|1⟩), |w0|² + |w1|² = 1 (Cahill & Glauber, Phys. Rev. 177, 1882).
+
+    With (X, P) the grid less sqrt(2)(Re, Im) gamma and rho² = X² + P², W = e^(−rho²)/pi
+    [|w0|² + |w1|²(2 rho² − 1) + 2 sqrt(2) Re(w0* w1 (X − iP))], and 0 where e^(−rho²) is.
+    """
     x, p = spec.axes()
-    w = np.exp(
-        -((x[:, None] - math.sqrt(2) * alpha.real) ** 2) - (p - math.sqrt(2) * alpha.imag) ** 2
-    ) / math.pi
+    big_x = x[:, None] - math.sqrt(2) * gamma.real
+    big_p = p - math.sqrt(2) * gamma.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-(big_x**2) - big_p**2) / math.pi
+        if w0 != 1 or w1 != 0:
+            c = 2.0 * math.sqrt(2) * np.conj(w0) * w1
+            rho2 = big_x * big_x + big_p * big_p
+            bracket = abs(w0) ** 2 + abs(w1) ** 2 * (2.0 * rho2 - 1.0)
+            bracket += c.real * big_x + c.imag * big_p
+            w = np.where(w == 0.0, 0.0, w * bracket)
     return WignerGrid(spec, w)
 
 
@@ -291,65 +307,53 @@ def _write_lines(grid: WignerGrid, write) -> None:
         write(block.translate(None, b"\0"))
 
 
-def export_grid(grid: WignerGrid, destination) -> None:
-    """Write the grid as CSV: header with bounds/counts, then x,p,w rows.
+def export_grid(grid: WignerGrid, path) -> None:
+    """Write the grid to path as CSV: header with bounds/counts, then x,p,w rows.
 
     Rows are emitted row-major with x as the outer index, each number as
     '%.17g' formats it, locale independent.  The W values go through
     `_format.write_records` in blocks of whole x rows, about _BLOCK values
     each (see `_write_lines`), and each block is written at once, so memory
-    stays at one block of text.  A path is written in binary, a block's
-    bytes as they are; an open file is taken to be a text file and gets
-    str.  The bytes are those of '%.17g' % w, which itself formats only
-    NaN, ±inf, 0 < |w| < 1e-290, |w| >= 1e290 and the values whose digits
-    beyond the 17th lie within 1e-9 of one half.
+    stays at one block of text.  The bytes are those of '%.17g' % w, which
+    itself formats only NaN, ±inf, 0 < |w| < 1e-290, |w| >= 1e290 and the
+    values whose digits beyond the 17th lie within 1e-9 of one half.
     """
     spec = grid.spec
     # header carries the grid geometry: x_min,x_max,p_min,p_max,nx,np
     header = ",".join(f"{v:.17g}" for v in (spec.x_min, spec.x_max, spec.p_min, spec.p_max))
-    header = f"{header},{spec.n_x},{spec.n_p}\n"
-    if hasattr(destination, "write"):
-        destination.write(header)
-        _write_lines(grid, lambda block: destination.write(block.decode("ascii")))
-        return
-    with open(destination, "wb") as fh:
-        fh.write(header.encode("ascii"))
+    with open(path, "wb") as fh:
+        fh.write(f"{header},{spec.n_x},{spec.n_p}\n".encode("ascii"))
         _write_lines(grid, fh.write)
 
 
-def import_grid(source) -> WignerGrid:
-    """Read a grid written by export_grid, from a path or an open text file.
+def import_grid(path) -> WignerGrid:
+    """Read a grid written by export_grid from path.
 
     Raises ValueError unless exactly nx * np rows follow the header and
-    every W value is a number.  A path is opened once, in binary; its header
-    ends as a text-mode line does, at "\n", "\r\n" or a lone "\r".  After an
-    ASCII header, `_parse.read_w` decodes the W column from the same handle
-    in chunks of whole lines, bit for bit as np.loadtxt would and in under
-    half its time.  A file it does not take (CRLF line ends, blank lines,
-    spaces, a fourth column, a W such as "+1", ".5" or "1E5", no final
-    newline, non-ASCII text, or a row count other than nx * np) goes to
-    `np.loadtxt` as a path, whose C reader parses it in chunks, so it parses
-    or fails as it always has.  An open file is read by `np.loadtxt`
-    through its handle, line by line.
+    every W value is a number.  The file is opened once, in binary; its
+    header ends as a text-mode line does, at "\n", "\r\n" or a lone "\r".
+    After an ASCII header, `_parse.read_w` decodes the W column from the
+    same handle in chunks of whole lines, bit for bit as np.loadtxt would
+    and in under half its time.  A file it does not take (CRLF line ends,
+    blank lines, spaces, a fourth column, a W such as "+1", ".5" or "1E5",
+    no final newline, non-ASCII text, or a row count other than nx * np)
+    goes to `np.loadtxt`, whose C reader parses it in chunks, so it parses
+    or fails as it always has.
     """
-    if hasattr(source, "read"):
-        spec = _header_spec(source.readline())
-        values = np.loadtxt(source, delimiter=",", usecols=2, ndmin=1)
-    else:
-        with open(source, "rb") as fh:
-            line = fh.readline()
-            cr = line.find(b"\r")
-            if cr >= 0 and line[cr + 1 : cr + 2] != b"\n":
-                line = line[: cr + 1]
-                fh.seek(len(line))
-            spec = _header_spec(line.decode())
-            values = None
-            if line.isascii():
-                from . import _parse
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        cr = line.find(b"\r")
+        if cr >= 0 and line[cr + 1 : cr + 2] != b"\n":
+            line = line[: cr + 1]
+            fh.seek(len(line))
+        spec = _header_spec(line.decode())
+        values = None
+        if line.isascii():
+            from . import _parse
 
-                values = _parse.read_w(fh, spec.n_x * spec.n_p)
-        if values is None:
-            values = np.loadtxt(source, delimiter=",", usecols=2, ndmin=1, skiprows=1)
+            values = _parse.read_w(fh, spec.n_x * spec.n_p)
+    if values is None:
+        values = np.loadtxt(path, delimiter=",", usecols=2, ndmin=1, skiprows=1)
     # reshape raises ValueError unless exactly nx * np rows were read
     return WignerGrid(spec, values.reshape(spec.n_x, spec.n_p))
 

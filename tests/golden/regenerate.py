@@ -38,7 +38,8 @@ DATA_FILES = {
 }
 
 # the success branch on the defaults, on a small off-centre grid, and at
-# |alpha| = 13.8, whose output has 996 levels
+# |alpha| = 13.8, whose Fock output has 996 levels; `nlamp wigner` draws
+# each from its closed form, with no truncation
 WIGNER_CONFIGS = {
     "defaults": [],
     "small-grid": ["--alpha", "1.2", "--r", "0.3", "--grid=-5,5,-4,4,101,81"],

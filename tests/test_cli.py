@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -54,10 +55,10 @@ class TestTable1:
         assert by_state["1"][5] == "nan"
         assert float(by_state["1"][6]) == 0
 
-    @pytest.mark.parametrize("command", ["branches", "wigner"])
+    @pytest.mark.parametrize("command", ["branches"])
     def test_inadequate_dimension_is_numeric_failure(self, command, tmp_path, capsys):
-        # |alpha| = 3 leaves 3e-3 of the input above 10 levels; table1 reads
-        # no dimension
+        # |alpha| = 3 leaves 3e-3 of the input above 10 levels; table1 and
+        # wigner read no dimension
         code = main([command, "--alpha", "3", "--dim", "10", "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
         assert "coherent tail mass" in capsys.readouterr().err
@@ -71,11 +72,15 @@ class TestTable1:
         assert abs(sum(probabilities) - 1.0) < 1e-12
 
     def test_overflowing_amplitude_at_zero_reflectivity(self, tmp_path):
-        # |alpha|^2 overflows, yet at r = 0 no photon is ever detected
+        # |alpha|^2 overflows, yet at r = 0 no photon is ever detected, and
+        # the output is the input: ⟨n⟩ is not a float, but 1 - F is 0
         argv = ["table1", "--alpha", "1e200", "--r", "0", "--out", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        probabilities = [float(row[6]) for row in read_csv(tmp_path / "table1.csv")[1:]]
-        assert probabilities == [0.0] * 7 + [1.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        rows = read_csv(tmp_path / "table1.csv")[1:]
+        assert [float(row[6]) for row in rows] == [0.0] * 7 + [1.0, 0.0]
+        assert rows[7][5] == "0"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -177,6 +182,22 @@ class TestWigner:
         code = main(["wigner", "--alpha", "2.0", "--branch", "1", "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert abs(integrate(import_grid(tmp_path / "wigner_branch1.csv")) - 1.0) < 1e-6
+
+    def test_amplitude_past_max_dim(self, tmp_path):
+        # |alpha| = 30 would need 4 092 levels; the closed form needs none.
+        # The success branch sits at sqrt(2) gamma = 32.7
+        argv = ["wigner", "--alpha", "30", "--grid=25,40,-7,7,151,141", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert abs(integrate(import_grid(tmp_path / "wigner_branch1.csv")) - 1.0) < 1e-6
+
+    def test_overflowing_amplitude_gives_a_zero_grid(self, tmp_path):
+        # rho^2 overflows on every cell, where W is 0, not 0 * inf
+        argv = ["wigner", "--alpha", "1e200", "--r", "0", "--branch", "8", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        values = import_grid(tmp_path / "wigner_branch8.csv").values
+        assert np.array_equal(values, np.zeros_like(values))
 
 
 class TestBranchesJson:
@@ -340,6 +361,9 @@ class TestUnusedFlags:
             # truncation to set
             ["sweep", "--dim", "30"],
             ["table1", "--dim", "30"],
+            # a branch's W depends on alpha and r alone
+            ["wigner", "--dim", "30"],
+            ["wigner", "--eta-qnd", "0.5"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, tmp_path):
@@ -357,7 +381,7 @@ class TestRegisteredFlags:
         [
             ("table1", SCHEME),
             ("branches", SCHEME | {"--dim"}),
-            ("wigner", SCHEME | {"--dim", "--grid", "--branch"}),
+            ("wigner", {"--alpha", "--r", "--grid", "--branch"}),
             ("sweep", set()),
             ("optimize", {"--geff0-min", "--geff0-max", "--geff0-step"}),
         ],
@@ -399,6 +423,16 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["optimize", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert "['alpha', 'r']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["table1", "branches", "wigner"])
+    def test_amplitude_whose_magnitude_overflows(self, command, tmp_path, capsys):
+        # each part is finite, |alpha| is not
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": [1.7e308, 1.7e308]}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_complex_alpha_pair(self, tmp_path):
@@ -457,10 +491,13 @@ class TestSizeBounds:
         "argv, bound",
         [
             (["branches", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
-            (["wigner", "--dim", str(cli.MAX_DIM + 1)], "MAX_DIM"),
+            # 1 008 levels derived from the amplitude, just past MAX_DIM
+            # (|alpha| = 13.8 needs 995)
+            (["branches", "--alpha", "13.9"], "MAX_DIM"),
             # 4 * 14^2 + 16 * 14 + 12 = 1020 levels derived from the amplitude
             (["branches", "--alpha", "14"], "MAX_DIM"),
-            (["wigner", "--alpha", "14"], "MAX_DIM"),
+            # the magnitude of a negative amplitude
+            (["branches", "--alpha", "-14"], "MAX_DIM"),
             (["wigner", f"--grid=-6,6,-6,6,{cli.MAX_GRID_POINTS + 1},1"], "MAX_GRID_POINTS"),
             (["wigner", f"--grid=-6,6,-6,6,1,{cli.MAX_GRID_POINTS + 1}"], "MAX_GRID_POINTS"),
         ],

@@ -107,16 +107,17 @@ class TestCompleteness:
 
 
 # any complex amplitude whose magnitude is a finite float, past where |alpha|²
-# overflows (1.3e154) among them
+# overflows (1.3e154) among them; abs raises OverflowError where the
+# magnitude is not a float
 AMPLITUDES = st.one_of(
     st.complex_numbers(allow_nan=False, allow_infinity=False),
     st.builds(cmath.rect, st.floats(0.0, 1e300), st.floats(-math.pi, math.pi)),
-).filter(lambda alpha: math.isfinite(abs(alpha)))
+).filter(lambda alpha: math.isfinite(math.hypot(alpha.real, alpha.imag)))
 
 
-# The metrics overflow where ⟨n⟩ ≈ |alpha|² does, and numpy warns; this
-# property is about P alone
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# ⟨n⟩ ≈ |alpha|² overflows past |alpha| ≈ 1.3e154, where the table forms
+# √⟨n⟩ as a hypot; no numpy warning is raised anywhere
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(alpha=AMPLITUDES, rs=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3))
 @example(alpha=1e200, rs=(0.0, 0.0, 0.0))
@@ -524,7 +525,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             kraus_step(coherent_state(0.5, 20), r, n, ancilla)
 
-    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    # the last has finite parts but a magnitude past the largest float
+    @pytest.mark.parametrize(
+        "alpha", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(1.7e308, 1.7e308)]
+    )
     def test_non_finite_amplitude_rejected(self, alpha):
         with pytest.raises(ValueError):
             SchemeConfig.symmetric(alpha, 0.4)
