@@ -102,6 +102,20 @@ def g_eff_products(alpha_abs: float, t_product: float) -> float:
     return t_product * (2.0 + 4.0 * ta2 + ta4) / (1.0 + 3.0 * ta2 + ta4)
 
 
+def f_eff_products(alpha_abs: float, t_product: float, g_eff: float) -> float:
+    """Success-branch fidelity with |g alpha⟩ from the transmission product T directly.
+
+    The form and its cap at 1 are `f_eff_conjectured`'s.
+    """
+    a2 = alpha_abs * alpha_abs
+    ta2 = t_product * t_product * a2
+    numerator = (
+        1.0 + 2.0 * g_eff * t_product * a2 + g_eff * g_eff * t_product * t_product * a2 * a2
+    ) * math.exp(-((g_eff - t_product) ** 2) * a2)
+    f = numerator / (1.0 + 3.0 * ta2 + ta2 * ta2)
+    return 1.0 if f > 1.0 else f
+
+
 def p_succ_closed(alpha_abs: float, s: SplitterTriple) -> float:
     """Success probability of the heralded subtract-add-subtract sequence.
 
@@ -162,14 +176,7 @@ def f_eff_conjectured(alpha_abs: float, s: SplitterTriple, g_eff: float) -> floa
     """
     if not alpha_abs >= 0:
         raise ValueError("alpha_abs must be non-negative")
-    big_t = s.transmission_product
-    a2 = alpha_abs * alpha_abs
-    ta2 = big_t * big_t * a2
-    numerator = (
-        1.0 + 2.0 * g_eff * big_t * a2 + g_eff * g_eff * big_t * big_t * a2 * a2
-    ) * math.exp(-((g_eff - big_t) ** 2) * a2)
-    f = numerator / (1.0 + 3.0 * ta2 + ta2 * ta2)
-    return 1.0 if f > 1.0 else f
+    return f_eff_products(alpha_abs, s.transmission_product, g_eff)
 
 
 def detector_adjusted(p: float, eta_qnd: float, eta_pd1: float, eta_pd2: float) -> float:

@@ -22,17 +22,25 @@ four-dimensional problem reduces exactly to one dimension:
   is alpha*(r) = min(g^-1(g0; T), alpha_hi), a root of a quadratic in x.
 
 What remains, maximizing P(alpha*(r), r) over the feasible reflectivities,
-is solved by a fixed coarse scan followed by a bounded Brent search between
-the neighbours of the best scan point.  Every step is deterministic.  The
-reported fidelity f_opt is the closed form as well, so no state is
-propagated.
+is one root.  On the bound, x = (T alpha)^2 is a function of T alone, so
 
-The root and the bounded search are math-only ports of Brent's two
-routines (R. P. Brent, Algorithms for Minimization without Derivatives,
-1973) as scipy.optimize implements them in `brentq` and
-`minimize_scalar(method="bounded")`: the same floating-point operations in
-the same order, so the results equal scipy's bit for bit, while the module
-needs nothing beyond numpy.
+    log P = 6 log r + log x - 2 log T + log(1 + 3x + x^2) - (1 - T^2) x / T^2
+
+with dx/dT = (x^2 + 4x + 2) / (2(g0 - T)x + 3g0 - 4T), or 2T alpha_hi^2
+where alpha* is clamped to alpha_hi, and dT/dr = -3r sqrt(1 - r^2).  This
+d log P/dr is positive at small r, where P grows as r^6, negative where
+the feasible interval ends at alpha_lo, and changes sign once in between.
+Its root, found to a relative tolerance of 4 machine epsilons, is the
+optimum.  Where alpha*(r) meets alpha_hi the derivative jumps, and a root
+inside the jump is that kink, where alpha_opt is alpha_hi.  Every step is
+deterministic.  The reported fidelity f_opt is the closed form as well, so
+no state is propagated.
+
+The root finder is a math-only port of Brent's (R. P. Brent, Algorithms
+for Minimization without Derivatives, 1973) as scipy.optimize implements
+it in `brentq`: the same floating-point operations in the same order, so
+its roots equal scipy's bit for bit, while the module needs nothing beyond
+the standard library.
 """
 
 from __future__ import annotations
@@ -40,21 +48,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .closed_forms import (
     SplitterTriple,
-    f_eff_conjectured,
+    f_eff_products,
     g_eff_closed,
     g_eff_products,
     p_succ_products,
 )
 from .errors import InfeasibleError
 
-SCAN_POINTS = 65
 # scipy.optimize.brentq's defaults, rtol being 4 machine epsilons
 ROOT_XTOL, ROOT_RTOL, ROOT_MAXITER = 2e-12, 4.0 * math.ulp(1.0), 100
-SEARCH_XATOL, SEARCH_MAXFUN = 1e-12, 500
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,8 @@ class OptProblem:
 class OptResult:
     """Best point found and its metrics.
 
-    `iterations` counts the closed-form evaluations of P and g spent on
-    the search.
+    `iterations` counts the closed-form evaluations of g and of
+    d log P/dr spent on the search.
     """
 
     p_opt: float
@@ -99,12 +103,11 @@ def _transmission(r: float) -> float:
     return t * t * t
 
 
-def _brentq(f, xa: float, xb: float) -> float:
+def _brentq(f, xa: float, xb: float, xtol: float = ROOT_XTOL) -> float:
     """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
 
-    scipy.optimize.brentq (its C routine) with xtol=ROOT_XTOL and
-    rtol=ROOT_RTOL; raises RuntimeError after ROOT_MAXITER iterations, as
-    scipy does.
+    scipy.optimize.brentq (its C routine) with xtol and rtol=ROOT_RTOL;
+    raises RuntimeError after ROOT_MAXITER iterations, as scipy does.
     """
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
@@ -121,7 +124,7 @@ def _brentq(f, xa: float, xb: float) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -154,93 +157,15 @@ def _brentq(f, xa: float, xb: float) -> float:
     raise RuntimeError(f"Failed to converge after {ROOT_MAXITER} iterations.")
 
 
-def _fminbound(f, x1: float, x2: float) -> tuple[float, float, bool]:
-    """Minimum of f on [x1, x2] by Brent's bounded search.
+def _step_back(x: float, lo: float, infeasible) -> float:
+    """x, or the nearest point below it, down to lo, where infeasible is False.
 
-    scipy.optimize.minimize_scalar(method="bounded") with xatol=SEARCH_XATOL
-    and maxiter=SEARCH_MAXFUN.  Returns (x, f(x), ok), where ok is False
-    when the evaluations ran out or a NaN appeared.
+    Steps back onto the feasible side of a computed root in doubling steps.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-    fu = math.inf
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + SEARCH_XATOL / 3.0
-    tol2 = 2.0 * tol1
-
-    ok = True
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # the test fails for q == 0, so the division is safe
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-
-        si = -1 if rat < 0 else 1
-        x = xf + si * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + SEARCH_XATOL / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= SEARCH_MAXFUN:
-            ok = False
-            break
-
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        ok = False
-    return xf, fx, ok
+    step = math.ulp(x)
+    while x > lo and infeasible(x):
+        x, step = max(x - step, lo), 2.0 * step
+    return x
 
 
 class _Reduced:
@@ -264,7 +189,15 @@ class _Reduced:
             raise InfeasibleError(f"no feasible point for g_eff0={self.g0}")
         if edge(r_hi) >= 0.0:
             return r_hi
-        return _brentq(edge, r_lo, r_hi)
+        return _step_back(_brentq(edge, r_lo, r_hi), r_lo, lambda r: edge(r) < 0.0)
+
+    def bound_x(self, t: float) -> float:
+        """x = (T alpha)^2 where g(alpha; T) = g0."""
+        # g = g0 is a x^2 + b x + c = 0 with a > 0 > c; its one positive
+        # root, in the form that does not cancel
+        a, b, c = self.g0 - t, 3.0 * self.g0 - 4.0 * t, self.g0 - 2.0 * t
+        root_d = math.sqrt(b * b - 4.0 * a * c)
+        return -2.0 * c / (b + root_d) if b >= 0.0 else (root_d - b) / (2.0 * a)
 
     def alpha_star(self, r: float) -> float | None:
         """Best feasible |alpha| at shared reflectivity r; None if r is infeasible."""
@@ -274,26 +207,36 @@ class _Reduced:
             return None
         if self.slack(hi, t) >= 0.0:
             return hi
-        # g = g0 is a x^2 + b x + c = 0 in x = (T alpha)^2 with a > 0 > c; its
-        # one positive root, in the form that does not cancel
-        a, b, c = self.g0 - t, 3.0 * self.g0 - 4.0 * t, self.g0 - 2.0 * t
-        root_d = math.sqrt(b * b - 4.0 * a * c)
-        x = -2.0 * c / (b + root_d) if b >= 0.0 else (root_d - b) / (2.0 * a)
-        alpha = min(max(math.sqrt(x) / t, lo), hi)
-        # step back onto the feasible side of the computed root
-        step = math.ulp(alpha)
-        while alpha > lo and self.slack(alpha, t) < 0.0:
-            alpha, step = max(alpha - step, lo), 2.0 * step
-        return alpha
+        alpha = min(max(math.sqrt(self.bound_x(t)) / t, lo), hi)
+        return _step_back(alpha, lo, lambda a: self.slack(a, t) < 0.0)
 
-    def p(self, r: float) -> float:
-        alpha = self.alpha_star(r)
-        if alpha is None:
-            return 0.0
+    def slope(self, r: float) -> float:
+        """d log P/dr along alpha = alpha*(r), at a feasible r > 0.
+
+        With x = (T alpha)^2, log P = 6 log r + log x - 2 log T
+        + log(1 + 3x + x^2) - (1 - T^2) x / T^2, dT/dr = -3 r sqrt(1 - r^2),
+        and x(T) is the bound's root or, where that passes alpha_hi,
+        (T alpha_hi)^2.
+        """
+        if r == 0.0:
+            # P grows as r^6
+            return math.inf
         self.evals += 1
-        return p_succ_products(
-            alpha, _transmission(r), r * r * r, -math.expm1(3.0 * math.log1p(-r * r))
-        )
+        t = _transmission(r)
+        g0, hi = self.g0, self.alpha_hi
+        x, x_hi = self.bound_x(t), (t * hi) * (t * hi)
+        if x < x_hi:
+            dx_dt = (x * x + 4.0 * x + 2.0) / (2.0 * (g0 - t) * x + 3.0 * g0 - 4.0 * t)
+        else:
+            x, dx_dt = x_hi, 2.0 * t * (hi * hi)
+        if not x > 0.0:
+            # the bound meets alpha = 0, where P vanishes
+            return -math.inf
+        t2 = t * t
+        loss = -math.expm1(3.0 * math.log1p(-r * r))
+        dlogp_dt = dx_dt * (1.0 / x + (3.0 + 2.0 * x) / (1.0 + 3.0 * x + x * x) - loss / t2)
+        dlogp_dt -= 2.0 * (1.0 - x / t2) / t
+        return 6.0 / r - 3.0 * r * math.sqrt(1.0 - r * r) * dlogp_dt
 
 
 def maximize(problem: OptProblem) -> OptResult:
@@ -304,30 +247,28 @@ def maximize(problem: OptProblem) -> OptResult:
     """
     reduced = _Reduced(problem)
     r_lo, r_hi = problem.r_bounds
-    scan = np.linspace(r_lo, reduced.r_top(r_lo, r_hi), SCAN_POINTS).tolist()
-    values = [reduced.p(r) for r in scan]
-    k = int(np.argmax(values))
-    r_ref, f_ref, ref_ok = _fminbound(
-        lambda r: -reduced.p(r), scan[max(k - 1, 0)], scan[min(k + 1, SCAN_POINTS - 1)]
-    )
-    # scan[0] is feasible and a refined point wins only with P > 0, so
-    # alpha_star(r_opt) below is never None
-    r_opt, p_opt = scan[k], values[k]
-    if -f_ref > p_opt:
-        r_opt, p_opt = r_ref, -f_ref
-    alpha_opt = float(reduced.alpha_star(r_opt))
+    r_top = reduced.r_top(r_lo, r_hi)
+    # d log P/dr changes sign at most once on [r_lo, r_top]; without a sign
+    # change P peaks at an end
+    if reduced.slope(r_top) >= 0.0:
+        r_opt = r_top
+    elif reduced.slope(r_lo) <= 0.0:
+        r_opt = r_lo
+    else:
+        r_opt = _brentq(reduced.slope, r_lo, r_top, xtol=0.0)
+    alpha_opt = reduced.alpha_star(r_opt)
 
     t = _transmission(r_opt)
+    loss = -math.expm1(3.0 * math.log1p(-r_opt * r_opt))
+    p_opt = p_succ_products(alpha_opt, t, r_opt * r_opt * r_opt, loss)
     slack = reduced.slack(alpha_opt, t)
     return OptResult(
         p_opt=p_opt,
         alpha_opt=alpha_opt,
         r_opt=(r_opt, r_opt, r_opt),
-        f_opt=f_eff_conjectured(
-            alpha_opt, SplitterTriple.symmetric(r_opt), g_eff_products(alpha_opt, t)
-        ),
+        f_opt=f_eff_products(alpha_opt, t, g_eff_products(alpha_opt, t)),
         g_eff0=problem.g_eff0,
-        converged=ref_ok and slack >= -1e-8 and p_opt > 0,
+        converged=slack >= -1e-8 and p_opt > 0,
         iterations=reduced.evals,
     )
 

@@ -52,7 +52,7 @@ from . import fock
 from .closed_forms import (
     SplitterTriple,
     detector_adjusted,
-    f_eff_conjectured,
+    f_eff_products,
     g_eff_products,
     p_succ_products,
 )
@@ -390,7 +390,7 @@ def gain_fidelity_sweep(alpha_values, r_values) -> list[SweepRow]:
 
     Rows run over r outer, |alpha| inner.  Each comes from the closed forms,
     which are exact for this branch: P from `p_succ_products`, g_eff from
-    `g_eff_products`, and F_eff and F_ideal from `f_eff_conjectured` with
+    `g_eff_products`, and F_eff and F_ideal from `f_eff_products` with
     g_eff and with 2.  They equal `run_branch` on
     `SchemeConfig.symmetric(alpha, r)` point by point up to rounding, with
     no truncation, so any finite magnitude gives a row.  A point whose P is
@@ -407,12 +407,12 @@ def gain_fidelity_sweep(alpha_values, r_values) -> list[SweepRow]:
     splitters = [SplitterTriple.symmetric(float(r)) for r in r_values]
     rows = []
     for s in splitters:
-        t, loss = s.transmission_product, s.intensity_loss
+        t, big_r, loss = s.transmission_product, s.reflection_product, s.intensity_loss
         for alpha_abs in alphas.tolist():
-            p = p_succ_products(alpha_abs, t, s.reflection_product, loss)
+            p = p_succ_products(alpha_abs, t, big_r, loss)
             if p >= 1e-300:
                 g_eff = g_eff_products(alpha_abs, t)
-                f_eff, f_ideal = (f_eff_conjectured(alpha_abs, s, g) for g in (g_eff, 2.0))
+                f_eff, f_ideal = (f_eff_products(alpha_abs, t, g) for g in (g_eff, 2.0))
             else:
                 p, g_eff, f_eff, f_ideal = 0.0, math.nan, math.nan, math.nan
             rows.append(SweepRow(alpha_abs, s.r1, g_eff, f_eff, f_ideal, p))

@@ -2,9 +2,12 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [NAME ...]
 
-The four small data files are `nlamp table1`, `branches`, `sweep` and
+Each NAME is a golden file, such as `optimize.csv`; only those are
+rewritten, and with no NAME all five are.  Rewriting only the files a
+change means to move keeps the others' last digits, which can differ
+between machines.  The four small data files are `nlamp table1`, `branches`, `sweep` and
 `optimize` on their defaults, verbatim.  A Wigner CSV is megabytes, so
 wigner.json holds a summary of each config in WIGNER_CONFIGS instead: the
 header, the row count, ∬W, ⟨x⟩ and ⟨p⟩, and CELLS W values at seeded
@@ -19,6 +22,7 @@ import contextlib
 import io
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -75,10 +79,8 @@ def wigner_summary(path: Path) -> dict:
     }
 
 
-def generate(out: Path) -> dict:
-    """Write the four data files into out; the Wigner summaries by config name."""
-    for command in DATA_FILES:
-        run([command], out)
+def wigner_summaries(out: Path) -> dict:
+    """Run each config of WIGNER_CONFIGS into out; their summaries by name."""
     summaries = {}
     for name, argv in WIGNER_CONFIGS.items():
         run(["wigner", *argv], out / name)
@@ -86,17 +88,31 @@ def generate(out: Path) -> dict:
     return summaries
 
 
-def regenerate() -> None:
+def generate(out: Path) -> dict:
+    """Write the four data files into out; the Wigner summaries by config name."""
+    for command in DATA_FILES:
+        run([command], out)
+    return wigner_summaries(out)
+
+
+def regenerate(names: list[str]) -> None:
+    """Rewrite the named golden files in HERE."""
+    unknown = sorted(set(names) - {*DATA_FILES.values(), "wigner.json"})
+    if unknown:
+        raise SystemExit(f"not a golden file: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch)
-        summaries = generate(out)
-        for name in DATA_FILES.values():
-            shutil.copyfile(out / name, HERE / name)
-    with open(HERE / "wigner.json", "w", newline="") as fh:
-        fh.write(json.dumps(summaries, indent=1) + "\n")
-    for name in [*DATA_FILES.values(), "wigner.json"]:
+        for command, name in DATA_FILES.items():
+            if name in names:
+                run([command], out)
+                shutil.copyfile(out / name, HERE / name)
+        if "wigner.json" in names:
+            summaries = wigner_summaries(out)
+            with open(HERE / "wigner.json", "w", newline="") as fh:
+                fh.write(json.dumps(summaries, indent=1) + "\n")
+    for name in names:
         print(HERE / name)
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or [*DATA_FILES.values(), "wigner.json"])
