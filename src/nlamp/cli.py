@@ -27,13 +27,13 @@ from .errors import (
     ZeroNormError,
     ZeroProbabilityError,
 )
+from .fock import coherent_block
 from .optimize import sweep as optimize_sweep
 from .scheme import (
     SchemeConfig,
     _branch_coefficients,
     enumerate_single_photon_branches,
     gain_fidelity_sweep,
-    run_branch,
 )
 from .wigner import GridSpec, export_grid, wigner_coherent, wigner_displaced_qubit
 
@@ -44,9 +44,9 @@ EXIT_NOT_CONVERGED = 4
 
 MAX_THRESHOLDS = 10_000
 # Size bounds, checked before anything is allocated.  MAX_DIM holds for the
-# truncation dimension of branches, the one subcommand that builds Fock
-# vectors, whether it is given or derived from the amplitude; table1, the
-# sweep and wigner evaluate closed forms and have none.
+# levels that branches prints of each closed-form state, the one Fock
+# vector a subcommand writes, whether given or derived from the amplitude;
+# table1, the sweep and wigner have no dimension.
 # The grid counts are bounded one by one, so a grid has at most about 10^6
 # cells and the closed form of W a few arrays of 8 MB.
 MAX_DIM = 1000
@@ -331,29 +331,36 @@ def cmd_branches(config: dict) -> int:
     cfg = _scheme_config(config)
     out = _out_dir(config)
     branches, other = enumerate_single_photon_branches(cfg)
-    # P and metrics come from the table, the amplitudes from run_branch;
-    # "defined" says whether there are amplitudes.  Every entry has every
-    # key: a zero-probability branch has NaN metrics and no amplitudes, and
-    # a defined one at alpha = 0 NaN gain and fidelities, each written as null
-    outputs = [run_branch(cfg, branch.outcome).output for branch in branches]
+    # each 0/1 output is D(gamma)(w0|0⟩ + w1|1⟩), whose level n is
+    # w0 c_n + w1 (√n c_(n-1) − gamma* c_n) with c_n that of |gamma⟩, kept
+    # to effective_dim + n_qnd levels.  Every entry has every key: an
+    # undefined branch has NaN metrics and no amplitudes, and a defined one
+    # at alpha = 0 NaN gain and fidelities, each written as null
+    gamma, w0, w1, _, _ = _branch_coefficients(cfg)
+    dim = cfg.effective_dim
+    c = coherent_block(gamma, dim + 1)
+    raised = np.sqrt(np.arange(dim + 1)) * np.concatenate(([0.0], c[:-1]))
+    states = w0[:, None] * c + w1[:, None] * (raised - gamma.conjugate() * c)
     entries = [
         {
             "outcome": list(branch.outcome),
             "probability": branch.probability,
-            "defined": output is not None,
+            "defined": branch.defined,
             "abs_mean_a": _null(branch.mean_a_abs),
             "g_eff": _null(branch.g_eff),
             "fidelity_eff": _null(branch.fidelity_eff),
             "fidelity_energy": _null(branch.fidelity_energy),
             "fidelity_ideal": _null(branch.fidelity_ideal),
-            "amps": None if output is None else [[a.real, a.imag] for a in output.amps],
+            "amps": None if not branch.defined else [
+                [a.real, a.imag] for a in state[: dim + branch.outcome[0]].tolist()
+            ],
         }
-        for branch, output in zip(branches, outputs)
+        for branch, state in zip(branches, states)
     ]
     payload = {
         "alpha": [cfg.alpha.real, cfg.alpha.imag],
         "r": [cfg.r1, cfg.r2, cfg.r3],
-        "dim": cfg.effective_dim,
+        "dim": dim,
         "etas": list(cfg.etas),
         "branches": entries,
         "other_probability": other,

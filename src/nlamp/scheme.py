@@ -16,8 +16,7 @@ result.
 Three routes give branch figures.  The truncated Fock simulator
 (`run_branch`) applies the three steps to the input truncated at
 effective_dim and gives one branch with its output state; it is the
-referee the tests hold the other two routes to, and the one builder of the
-Fock vectors that the `branches` subcommand prints.
+referee the tests hold the other two routes to, and no subcommand runs it.
 K_k(n) is a sum of at most min(k, n) + 1 shifted diagonals, whose
 coefficients are formed in log space from a table of log k! values
 (`math.lgamma`), so the simulator needs numpy and the standard library only.
@@ -30,7 +29,8 @@ and a a†|c⟩ = (1 + c a†)|c⟩.  So every 0/1 pattern ends in
 (u + v a†)|gamma⟩ with one gamma = t3 t2 t1 alpha, the photon-added
 coherent algebra (Agarwal & Tara, PRA 43, 492 (1991)), and its
 probability, ⟨a⟩ and fidelities are exact functions of (u, v, gamma),
-evaluated for the eight rows at once.
+evaluated for the eight rows at once.  The same (gamma, w0, w1) give the
+states that `nlamp branches` prints and `nlamp wigner` draws.
 
 The success-branch sweep (`gain_fidelity_sweep`) reports the (1, 0, 1)
 branch only, through the closed forms that algebra gives it
@@ -121,8 +121,10 @@ class BranchResult:
 
     A branch of zero probability is flagged, not fatal: it is not `defined`
     and all its metric fields are NaN.  `output` is the truncated output
-    state from `run_branch`, None there for an undefined branch, and None
-    on every row of the branch table.
+    state from `run_branch`, the tests' referee, and None there for an
+    undefined branch.  It is None on every row of the branch table, whose
+    state is D(gamma)(w0|0⟩ + w1|1⟩) with the coefficients of
+    `_branch_coefficients`.
     """
 
     outcome: tuple[int, int, int]
@@ -314,8 +316,7 @@ def enumerate_single_photon_branches(
     array math on them over the eight rows (`_branch_coefficients`): no
     Kraus step is applied, no Fock vector is built and `dim` is not read,
     so any finite alpha gives a table.  The probability, ⟨a⟩, ⟨n⟩ and
-    fidelities are exact; a row's `output` is None, and `run_branch` gives
-    the truncated output vector.
+    fidelities are exact; a row's `output` is None.
 
     The remainder is the probability that some detector saw more than one
     photon; with ideal detectors the eight branches and the remainder sum to
@@ -326,7 +327,9 @@ def enumerate_single_photon_branches(
 
     # mean_a_abs, g_eff, fidelity_eff, fidelity_energy, fidelity_ideal
     metrics = np.full((5, len(BRANCH_ORDER)), np.nan)
-    metrics[0] = np.abs(gamma + w0.conjugate() * w1)
+    # ⟨a⟩ = gamma + w0* w1
+    shift = w0.conjugate() * w1
+    metrics[0] = np.abs(gamma + shift)
     if alpha != 0:
         alpha_abs = abs(alpha)
         metrics[1] = metrics[0] / alpha_abs
@@ -340,12 +343,20 @@ def enumerate_single_photon_branches(
             if big.any():
                 root_n[big] = np.hypot(np.abs(gamma * w0 + w1), np.abs(gamma * w1))[big]
             # ⟨beta|psi⟩ is (w0 + w1 (beta − gamma)*) times ⟨beta|gamma⟩, of
-            # squared modulus e^(−|beta − gamma|²), 0 where that overflows;
-            # beta is g_eff alpha, √⟨n⟩ times alpha's phase, and 2 alpha
-            scales = np.array([metrics[1], root_n, np.full(len(BRANCH_ORDER), 2.0)])
-            delta = scales * np.array([[alpha], [phase], [alpha]]) - gamma
-            overlap = np.exp(-_abs2(delta))
-            fidelities = _abs2(w0 + w1 * delta.conjugate()) * overlap
+            # squared modulus e^(−|beta − gamma|²), 0 where that overflows.
+            # beta is |⟨a⟩|, √⟨n⟩ and 2|alpha| times alpha's phase, which gamma
+            # shares, so beta − gamma is a real gap |beta| − |gamma| times that
+            # phase.  The first two gaps are formed without cancelling, from
+            # |⟨a⟩|² − |gamma|² = |w0* w1|² + c and ⟨n⟩ − |gamma|² = |w1|² + c
+            # with c = 2 Re(gamma* w0* w1); at gamma = 0 they are the magnitudes
+            gamma_abs = abs(gamma)
+            magnitudes = np.array([metrics[0], root_n])
+            excess = _abs2(np.array([shift, w1])) + ((2.0 * gamma.conjugate()) * shift).real
+            gaps = np.empty((3, len(BRANCH_ORDER)))
+            gaps[:2] = excess / (magnitudes + gamma_abs) if gamma_abs else magnitudes
+            gaps[2] = 2.0 * alpha_abs - gamma_abs
+            overlap = np.exp(-gaps * gaps)
+            fidelities = _abs2(w0 + (w1 * phase.conjugate()) * gaps) * overlap
             metrics[2:] = np.where(overlap == 0.0, 0.0, fidelities)
     metrics[:, ~defined] = np.nan
 

@@ -57,7 +57,8 @@ class TestTable1:
 
     @pytest.mark.parametrize("command", ["branches"])
     def test_inadequate_dimension_is_numeric_failure(self, command, tmp_path, capsys):
-        # |alpha| = 3 leaves 3e-3 of the input above 10 levels; table1 and
+        # the outputs' |gamma| = 2.3 leaves 2.1e-2 of |gamma⟩ above the 11
+        # levels that 10 printed ones and a QND photon need; table1 and
         # wigner read no dimension
         code = main([command, "--alpha", "3", "--dim", "10", "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
@@ -75,6 +76,20 @@ class TestTable1:
         # |alpha|^2 overflows, yet at r = 0 no photon is ever detected, and
         # the output is the input: ⟨n⟩ is not a float, but 1 - F is 0
         argv = ["table1", "--alpha", "1e200", "--r", "0", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        rows = read_csv(tmp_path / "table1.csv")[1:]
+        assert [float(row[6]) for row in rows] == [0.0] * 7 + [1.0, 0.0]
+        assert rows[7][5] == "0"
+
+    @pytest.mark.parametrize("alpha", [[6e139, 8e139], [6e159, 8e159]])
+    def test_huge_complex_amplitude_at_zero_reflectivity(self, alpha, tmp_path):
+        # the output is the input, so 1 - F is 0 at any phase of alpha, not
+        # the rounding of β − γ formed from products of size |alpha|
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": alpha, "r": 0}))
+        argv = ["table1", "--config", str(config), "--out", str(tmp_path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == EXIT_OK
@@ -260,27 +275,55 @@ class TestBranchesJson:
         ],
     )
     def test_amps_are_run_branch_outputs(self, argv, tmp_path):
-        # P and metrics are the table's, the amplitudes run_branch's; at
-        # dim 2 the patterns with n_pd1 = n_pd2 = 1 have a positive P but no
-        # level of the truncated input reaches them
+        # P and metrics are the table's, and the amplitudes are those of the
+        # table's closed-form states, cut to dim + n_qnd levels: run_branch's
+        # outputs on the same dimension, up to rounding.  At dim 2 the Fock
+        # route's truncated input reaches no pattern with n_pd1 = n_pd2 = 1,
+        # so the referee there is run_branch at the default dimension
         assert main(["branches", *argv, "--out", str(tmp_path)]) == EXIT_OK
         payload = json.loads((tmp_path / "branches.json").read_text())
-        cfg = SchemeConfig(complex(*payload["alpha"]), *payload["r"], dim=payload["dim"])
+        alpha = complex(*payload["alpha"])
+        cfg = SchemeConfig(alpha, *payload["r"], dim=payload["dim"])
+        referee = cfg if payload["dim"] > 2 else SchemeConfig(alpha, *payload["r"])
         table, other = enumerate_single_photon_branches(cfg)
         assert payload["other_probability"] == other
         for entry, branch in zip(payload["branches"], table):
             assert entry["probability"] == branch.probability
             assert entry["abs_mean_a"] == (branch.mean_a_abs if branch.defined else None)
-            output = run_branch(cfg, branch.outcome).output
-            assert entry["defined"] is (output is not None)
+            for key in ("g_eff", "fidelity_eff", "fidelity_energy", "fidelity_ideal"):
+                value = getattr(branch, key)
+                assert entry[key] == (None if math.isnan(value) else value)
+            assert entry["defined"] is (branch.probability > 0)
+            output = run_branch(referee, branch.outcome).output
             if output is None:
                 assert entry["amps"] is None
             else:
-                assert entry["amps"] == [[a.real, a.imag] for a in output.amps.tolist()]
-        if payload["dim"] == 2:
-            undefined = [entry for entry in payload["branches"] if not entry["defined"]]
-            assert [entry["outcome"] for entry in undefined] == [[1, 1, 1], [0, 1, 1]]
-            assert all(entry["probability"] > 1e-15 for entry in undefined)
+                amps = np.array([complex(*a) for a in entry["amps"]])
+                assert amps.size == payload["dim"] + branch.outcome[0]
+                assert np.abs(amps - output.amps[: amps.size]).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1"],
+        ["branches"],
+        ["sweep"],
+        ["optimize"],
+        ["wigner"],
+        ["branches", "--alpha", "13.8", "--r", "0.1"],
+        ["branches", "--alpha", "0.001", "--dim", "2"],
+    ],
+)
+def test_no_subcommand_runs_the_fock_route(argv, tmp_path, monkeypatch):
+    # every number written comes from the (u, v, gamma) algebra; the Kraus
+    # steps and the Wigner wavefunction only referee it in the tests
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fock route ran")
+
+    monkeypatch.setattr("nlamp.scheme._kraus", refuse)
+    monkeypatch.setattr("nlamp.wigner._wavefunction", refuse)
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestUnwritableOutput:

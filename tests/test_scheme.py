@@ -241,6 +241,31 @@ class TestPhaseCovariance:
         overlap = abs(np.vdot(phases * base.output.amps, rotated.output.amps))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
+    # the outputs at |alpha| e^(i phase) are those at |alpha| rotated by
+    # e^(i phase n̂), and so is every comparison state, up to |alpha| = 1e200
+    # where ⟨n⟩ is not a float
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_amplitude=st.floats(-6.0, 200.0),
+        phase=st.floats(-math.pi, math.pi),
+        r=st.one_of(st.just(0.0), st.floats(0.0, 0.99, exclude_max=True)),
+    )
+    @example(log_amplitude=140.0, phase=math.atan2(0.8, 0.6), r=0.0)
+    @example(log_amplitude=160.0, phase=math.atan2(0.8, 0.6), r=0.0)
+    @example(log_amplitude=math.log10(5e100), phase=math.atan2(4.0, -3.0), r=0.0)
+    def test_table_fidelities_do_not_depend_on_input_phase(self, log_amplitude, phase, r):
+        amplitude = 10.0**log_amplitude
+        rotated, _ = enumerate_single_photon_branches(
+            SchemeConfig.symmetric(amplitude * cmath.exp(1j * phase), r)
+        )
+        real, _ = enumerate_single_photon_branches(SchemeConfig.symmetric(amplitude + 0j, r))
+        for got, want in zip(rotated, real):
+            if got.defined and want.defined:
+                for name in ("fidelity_eff", "fidelity_energy", "fidelity_ideal"):
+                    f, f_real = getattr(got, name), getattr(want, name)
+                    if max(f, f_real) >= 1e-12:
+                        assert abs(f - f_real) <= 1e-10 * f_real, (got.outcome, name, f, f_real)
+
 
 class TestOutputCoherence:
     def test_unclicked_branches_stay_exactly_coherent(self):
