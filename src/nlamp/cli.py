@@ -15,8 +15,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import fields
 from decimal import Decimal
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .fock import coherent_block
 from .optimize import sweep as optimize_sweep
 from .scheme import (
     SchemeConfig,
+    SweepRow,
     _branch_coefficients,
     enumerate_single_photon_branches,
     gain_fidelity_sweep,
@@ -263,7 +265,9 @@ def cmd_sweep(config: dict) -> int:
     out = _out_dir(config)
     rows = gain_fidelity_sweep(np.linspace(alpha_min, alpha_max, steps), r_values)
     header = ["alpha_abs", "r", "g_eff", "F_eff", "F_ideal", "P_succ"]
-    _write_csv(out, "sweep.csv", header, map(astuple, rows))
+    # each row's fields in declaration order, without astuple's deep copies
+    values = attrgetter(*(field.name for field in fields(SweepRow)))
+    _write_csv(out, "sweep.csv", header, map(values, rows))
     return EXIT_OK
 
 
@@ -338,7 +342,13 @@ def cmd_branches(config: dict) -> int:
     # at alpha = 0 NaN gain and fidelities, each written as null
     gamma, w0, w1, _, _ = _branch_coefficients(cfg)
     dim = cfg.effective_dim
-    c = coherent_block(gamma, dim + 1)
+    try:
+        c = coherent_block(gamma, dim + 1)
+    except TruncationError as exc:
+        # |gamma⟩ is checked at the one extra level that the rows whose QND
+        # counter clicked print, but the dimension given is dim
+        mass = str(exc).removesuffix(f" at dim={dim + 1}")
+        raise TruncationError(f"{mass} at dim={dim}: the branch states need more levels") from None
     raised = np.sqrt(np.arange(dim + 1)) * np.concatenate(([0.0], c[:-1]))
     states = w0[:, None] * c + w1[:, None] * (raised - gamma.conjugate() * c)
     entries = [

@@ -115,7 +115,7 @@ class SchemeConfig:
         return max(30, fock.default_dim(2.0 * abs(self.alpha)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BranchResult:
     """One conditioned output of the pipeline with its derived metrics.
 
@@ -125,6 +125,11 @@ class BranchResult:
     undefined branch.  It is None on every row of the branch table, whose
     state is D(gamma)(w0|0⟩ + w1|1⟩) with the coefficients of
     `_branch_coefficients`.
+
+    A plain slotted record, like `SweepRow`: a frozen dataclass sets each
+    field through object.__setattr__, several times the cost of the plain
+    one, and nothing mutates or hashes a result.  The slots still make a
+    mistyped attribute raise AttributeError.
     """
 
     outcome: tuple[int, int, int]
@@ -386,8 +391,16 @@ def coherence_check(branch: BranchResult) -> float:
     return 1.0 - abs(inner_product(reference, branch.output)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepRow:
+    """One (|alpha|, r) point of the success-branch sweep.
+
+    A plain slotted record, not a frozen one: while each field went through
+    object.__setattr__, building the rows took half of a sweep's time, and
+    nothing mutates or hashes a row.  An undeclared attribute still raises
+    AttributeError.
+    """
+
     alpha_abs: float
     r: float
     g_eff: float
@@ -416,17 +429,19 @@ def gain_fidelity_sweep(alpha_values, r_values) -> list[SweepRow]:
     if bad.size:
         raise ValueError(f"|alpha| values must be finite and non-negative, got {bad[0]}")
     splitters = [SplitterTriple.symmetric(float(r)) for r in r_values]
+    alpha_list = alphas.tolist()
     rows = []
     for s in splitters:
-        t, big_r, loss = s.transmission_product, s.reflection_product, s.intensity_loss
-        for alpha_abs in alphas.tolist():
+        r, t, big_r, loss = s.r1, s.transmission_product, s.reflection_product, s.intensity_loss
+        for alpha_abs in alpha_list:
             p = p_succ_products(alpha_abs, t, big_r, loss)
             if p >= 1e-300:
                 g_eff = g_eff_products(alpha_abs, t)
-                f_eff, f_ideal = (f_eff_products(alpha_abs, t, g) for g in (g_eff, 2.0))
+                f_eff = f_eff_products(alpha_abs, t, g_eff)
+                f_ideal = f_eff_products(alpha_abs, t, 2.0)
             else:
                 p, g_eff, f_eff, f_ideal = 0.0, math.nan, math.nan, math.nan
-            rows.append(SweepRow(alpha_abs, s.r1, g_eff, f_eff, f_ideal, p))
+            rows.append(SweepRow(alpha_abs, r, g_eff, f_eff, f_ideal, p))
     return rows
 
 

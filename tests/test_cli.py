@@ -58,11 +58,13 @@ class TestTable1:
     @pytest.mark.parametrize("command", ["branches"])
     def test_inadequate_dimension_is_numeric_failure(self, command, tmp_path, capsys):
         # the outputs' |gamma| = 2.3 leaves 2.1e-2 of |gamma⟩ above the 11
-        # levels that 10 printed ones and a QND photon need; table1 and
-        # wigner read no dimension
+        # levels that 10 printed ones and a QND photon need, and the message
+        # names the dimension given; table1 and wigner read no dimension
         code = main([command, "--alpha", "3", "--dim", "10", "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
-        assert "coherent tail mass" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "coherent tail mass" in err
+        assert "dim=10" in err and "dim=11" not in err
 
     @pytest.mark.parametrize("alpha", ["14", "30"])
     def test_amplitude_past_max_dim_gives_a_table(self, alpha, tmp_path):

@@ -18,6 +18,7 @@ from nlamp import (
     p_succ_closed,
     run_branch,
 )
+from nlamp.closed_forms import f_eff_products, g_eff_products, p_succ_products
 
 # regression pin for the optimizer's reported operating point (threshold
 # gain 1.4); the order of magnitude 1e-3 is the published headline value
@@ -150,6 +151,41 @@ class TestEffectiveFidelity:
     def test_sweep_fidelity_at_one_stays_at_one(self):
         (row,) = gain_fidelity_sweep([1e7], [1e-9])
         assert row.f_eff == 1.0
+
+
+magnitudes = st.one_of(
+    st.sampled_from([0.0, 1e154]), st.floats(-20.0, 308.0).map(lambda e: 10.0**e)
+)
+reflectivities = st.one_of(
+    st.sampled_from([0.0, 1e-9]), st.floats(0.0, 0.99, exclude_max=True)
+)
+
+
+class TestSweepRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(magnitudes, min_size=1, max_size=6),
+        st.lists(reflectivities, min_size=1, max_size=3),
+    )
+    @example([0.0, 1e154, 1e308, 0.5], [0.0, 1e-9, 0.4])
+    def test_rows_are_the_closed_forms_bit_for_bit(self, alphas, r_values):
+        rows = gain_fidelity_sweep(alphas, r_values)
+        points = [(alpha, r) for r in r_values for alpha in alphas]
+        assert len(rows) == len(points)
+        for row, (alpha, r) in zip(rows, points):
+            assert (row.alpha_abs, row.r) == (alpha, r)
+            s = SplitterTriple.symmetric(r)
+            t = s.transmission_product
+            p = p_succ_products(alpha, t, s.reflection_product, s.intensity_loss)
+            if not p >= 1e-300:
+                # below the floor, as a branch of zero probability
+                assert row.p_succ == 0.0
+                assert all(math.isnan(x) for x in (row.g_eff, row.f_eff, row.f_ideal))
+                continue
+            g = g_eff_products(alpha, t)
+            want = (g, f_eff_products(alpha, t, g), f_eff_products(alpha, t, 2.0), p)
+            got = (row.g_eff, row.f_eff, row.f_ideal, row.p_succ)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestDetectorAdjustment:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -640,3 +641,22 @@ class TestLogFactorials:
         table = _log_factorials(k.size)
         assert table.shape == k.shape
         assert np.all(np.abs(table - expected) <= 4 * np.spacing(expected))
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (gain_fidelity_sweep([0.5], [0.4])[0], "p_succ"),
+        (enumerate_single_photon_branches(TABLE_CONFIG)[0][0], "probability"),
+    ],
+    ids=["SweepRow", "BranchResult"],
+)
+def test_result_records_are_slotted_dataclasses(record, field):
+    names = [f.name for f in dataclasses.fields(record)]
+    assert dataclasses.astuple(record) == tuple(getattr(record, name) for name in names)
+    changed = dataclasses.replace(record, **{field: 0.25})
+    assert type(changed) is type(record) and getattr(changed, field) == 0.25
+    # slots: no instance dict, so a mistyped attribute raises instead of being added
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.g_efff = 1.0
